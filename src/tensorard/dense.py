@@ -50,8 +50,14 @@ def mode_n_product(tensor, matrix, axis: int) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: matrix columns {m.shape[1]} != mode size {t.shape[axis]}"
         )
-    out = np.tensordot(t, m, axes=([axis], [1]))
-    return np.moveaxis(out, -1, axis)
+    # View the tensor as (before, I, after) so the product is one GEMM, or
+    # one GEMM per leading index, and lands contiguous with the mode in place.
+    before = math.prod(t.shape[:axis])
+    after = math.prod(t.shape[axis + 1 :])
+    shape = t.shape[:axis] + (m.shape[0],) + t.shape[axis + 1 :]
+    if after == 1:
+        return (t.reshape(before, t.shape[axis]) @ m.T).reshape(shape)
+    return np.matmul(m, t.reshape(before, t.shape[axis], after)).reshape(shape)
 
 
 def fold_matrix(matrix, dims) -> np.ndarray:

@@ -238,12 +238,26 @@ def reconstruct(kind: str, factors) -> np.ndarray:
     raise ValueError(f"unknown format kind {kind!r}")
 
 
+def _split(dims) -> int:
+    """Number of leading modes whose size product is closest to the rest's.
+
+    The modes ``dims[:s]`` and ``dims[s:]`` form the left and right sides of
+    the CP and Tucker kernels; balancing them keeps both side GEMMs small.
+    """
+    return min(
+        range(1, max(len(dims), 2)),
+        key=lambda s: max(math.prod(dims[:s]), math.prod(dims[s:])),
+    )
+
+
 def _cp_full(mats):
     dims = [m.shape[0] for m in mats]
     if len(mats) == 1:
         return mats[0].sum(axis=1)
-    kr = dense.khatri_rao(mats[:-1])
-    return (kr @ mats[-1].T).reshape(dims)
+    s = _split(dims)
+    left = dense.khatri_rao(mats[:s])
+    right = dense.khatri_rao(mats[s:])
+    return (left @ right.T).reshape(dims)
 
 
 def _tucker_full(factors):
@@ -277,7 +291,27 @@ def backprop_reconstruction(kind: str, factors, grad) -> list:
     """Exact gradients of a scalar loss w.r.t. every factor entry.
 
     ``grad`` holds the loss gradient w.r.t. the full tensor; the result is a
-    list of arrays, one per factor, in the layer's factor order.
+    list of arrays, one per factor, in the layer's factor order.  Each format
+    passes over the full ``grad`` only a fixed number of times:
+
+    - CP: the modes split into a left and a right side of near-equal size
+      products.  One GEMM per side, ``G @ KR(right)`` and
+      ``G.T @ KR(left)`` with ``G`` the (left, right) matricization and
+      ``KR`` the Khatri-Rao product, gives each side's partial MTTKRP; a
+      small Hadamard contraction within the side finishes each mode
+      (a two-leaf MTTKRP dimension tree).
+    - Tucker: with the same split, ``G`` is projected once onto the
+      right-side factors and once onto the left-side factors.  The core
+      gradient and every factor gradient are contracted from those two
+      shared partials.
+    - TT: one left-to-right sweep.  At core i the running contraction of
+      ``G`` with cores 0..i-1, reshaped to ``(r_i * I_i, I_{i+1}...)``,
+      times the right environment of cores i+1.. gives the core's gradient,
+      and the core's transpose times it gives the next contraction.  The
+      right environments are built once from the cores; every step is a
+      plain GEMM on reshapes.
+    - TTM: one transpose of ``G`` into the paired (I_n, J_n) layout, then
+      the TT sweep with each pair merged into one mode.
     """
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
     grad = np.asarray(grad, dtype=np.float64)
@@ -309,65 +343,82 @@ def reconstruct_shape(kind: str, factors) -> tuple:
 
 def _cp_backprop(mats, grad):
     d = len(mats)
-    r = mats[0].shape[1]
+    dims = [m.shape[0] for m in mats]
+    if d == 1:
+        return [np.repeat(grad.reshape(-1, 1), mats[0].shape[1], axis=1)]
+    s = _split(dims)
+    g = grad.reshape(math.prod(dims[:s]), -1)
+    left = _cp_side(mats[:s], g @ dense.khatri_rao(mats[s:]))
+    right = _cp_side(mats[s:], g.T @ dense.khatri_rao(mats[:s]))
+    return left + right
+
+
+def _cp_side(mats, partial):
+    """Each mode's gradient from its side's partial MTTKRP ``(P_side, R)``.
+
+    ``partial`` already holds the other side's Khatri-Rao contraction; what
+    is left for mode n is the Hadamard contraction with the other factors
+    of the same side.
+    """
+    k = len(mats)
+    if k == 1:
+        return [partial]
+    r = k  # subscript of the rank axis
+    t = partial.reshape([m.shape[0] for m in mats] + [partial.shape[1]])
     grads = []
-    for n in range(d):
-        others = [mats[m] for m in range(d) if m != n]
-        unfolded = np.moveaxis(grad, n, 0).reshape(grad.shape[n], -1)
-        kr = dense.khatri_rao(others) if others else np.ones((1, r))
-        grads.append(unfolded @ kr)
+    for n in range(k):
+        operands = [t, list(range(k + 1))]
+        for m in range(k):
+            if m != n:
+                operands += [mats[m], [m, r]]
+        grads.append(np.einsum(*operands, [n, r]))
     return grads
 
 
 def _tucker_backprop(factors, grad):
     core, mats = factors[-1], factors[:-1]
     d = len(mats)
+    s = _split([m.shape[0] for m in mats])
+    # Project G once onto each side's factors: the left partial keeps the
+    # left modes at full size and the right modes at rank size, and the
+    # right partial the other way round.
+    left = _project(grad, mats, range(s, d))
+    right = _project(grad, mats, range(s))
     mat_grads = []
     for n in range(d):
-        partial = core
-        for m in range(d):
-            if m != n:
-                partial = dense.mode_n_product(partial, mats[m], m)
-        g_n = np.moveaxis(grad, n, 0).reshape(grad.shape[n], -1)
-        p_n = np.moveaxis(partial, n, 0).reshape(partial.shape[n], -1)
-        mat_grads.append(g_n @ p_n.T)
-    core_grad = grad
-    for m in range(d):
-        core_grad = dense.mode_n_product(core_grad, mats[m].T, m)
+        side = range(s) if n < s else range(s, d)
+        partial = _project(left if n < s else right, mats, [m for m in side if m != n])
+        others = [m for m in range(d) if m != n]
+        mat_grads.append(np.tensordot(partial, core, axes=(others, others)))
+    core_grad = _project(left, mats, range(s))
     return mat_grads + [core_grad]
+
+
+def _project(tensor, mats, modes):
+    """Contract each mode in ``modes`` of ``tensor`` with its factor matrix."""
+    for m in modes:
+        tensor = dense.mode_n_product(tensor, mats[m].T, m)
+    return tensor
 
 
 def _tt_backprop(cores, grad):
     d = len(cores)
-    lefts = [None] * d  # lefts[i]: (I_0..I_i, r_{i+1})
-    acc = cores[0][0]
-    lefts[0] = acc
-    for i in range(1, d):
-        acc = np.tensordot(acc, cores[i], axes=([-1], [0]))
-        lefts[i] = acc
-    rights = [None] * d  # rights[i]: (r_i, I_i..I_{d-1})
-    acc = cores[-1][..., 0]
-    rights[d - 1] = acc
-    for i in range(d - 2, -1, -1):
-        acc = np.tensordot(cores[i], rights[i + 1], axes=([-1], [0]))
-        rights[i] = acc
+    # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
+    rights = [None] * (d + 1)
+    rights[d] = np.ones((1, 1))
+    for i in range(d - 1, 0, -1):
+        r0, n, r1 = cores[i].shape
+        rights[i] = (cores[i].reshape(r0 * n, r1) @ rights[i + 1]).reshape(r0, -1)
+    # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
+    # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
     grads = []
-    for i in range(d):
-        if i == 0:
-            mid = grad[None]  # (1, I_0..I_{d-1})
-        else:
-            axes = list(range(i))
-            mid = np.tensordot(lefts[i - 1], grad, axes=(axes, axes))
-        if i == d - 1:
-            grads.append(mid[..., None])
-        else:
-            k = mid.ndim - 2  # trailing sample modes I_{i+1}..I_{d-1}
-            g = np.tensordot(
-                mid,
-                rights[i + 1],
-                axes=(list(range(2, 2 + k)), list(range(1, 1 + k))),
-            )
-            grads.append(g)
+    acc = grad.reshape(1, -1)
+    for i, core in enumerate(cores):
+        r0, n, r1 = core.shape
+        acc = acc.reshape(r0 * n, -1)
+        grads.append((acc @ rights[i + 1].T).reshape(core.shape))
+        if i < d - 1:
+            acc = core.reshape(r0 * n, r1).T @ acc
     return grads
 
 

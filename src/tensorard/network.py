@@ -265,7 +265,8 @@ class Network:
             w = entry["matrix"]
             d_w = x.T @ g
             d_b = g.sum(axis=0)
-            g = g @ w.T
+            if i > 0:  # nothing reads the input gradient of the first layer
+                g = g @ w.T
             if isinstance(layer, TensorizedLinear):
                 tensor_grad = d_w.reshape(layer.weight.tensor_dims)
                 fgrads = factorized.backprop_reconstruction(

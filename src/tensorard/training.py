@@ -300,7 +300,10 @@ def predict_uncertainty(net: Network, inputs, num_samples: int, seed: int = 0):
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     inputs = np.asarray(inputs)
-    single = inputs.ndim == 1
+    # A batch of token ids is 1-d, a batch of feature rows 2-d; one lower
+    # is a single input.
+    batch_ndim = 1 if isinstance(net.layers[0], Embedding) else 2
+    single = inputs.ndim == batch_ndim - 1
     if single:
         inputs = inputs[None]
     rng = np.random.default_rng(seed)

@@ -208,3 +208,102 @@ class TestSynthGen:
         rc = cli.main(["synth-gen", "--spec", str(spec_path), "--out",
                        str(tmp_path / "ds")])
         assert rc == 2
+
+
+def embedding_net(seed=0):
+    from tensorard import network
+
+    return network.build_network(
+        [
+            {"type": "embedding", "format": "ttm", "row_dims": [4, 5],
+             "col_dims": [2, 3], "max_rank": 2},
+            {"type": "plain_linear", "in_features": 6, "out_features": 3},
+        ],
+        classes=3, rng=np.random.default_rng(seed),
+    )
+
+
+class TestPredictEmbedding:
+    def test_token_ids_are_a_batch(self, tmp_path, capsys):
+        from tensorard import checkpoint
+
+        ck = tmp_path / "embed.npz"
+        checkpoint.save_network(embedding_net(), ck)
+        inp = tmp_path / "tokens.json"
+        inp.write_text(json.dumps([0, 7, 19, 7, 3]))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(ck), "--input", str(inp),
+                       "--samples", "8"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        mean = np.asarray(payload["mean"])
+        assert mean.shape == (5, 3)
+        assert np.asarray(payload["std"]).shape == (5, 3)
+        np.testing.assert_allclose(mean.sum(axis=1), 1.0, atol=1e-12)
+        # a repeated token sees the same draws, so its rows are identical
+        np.testing.assert_array_equal(mean[1], mean[3])
+
+
+class TestCorruptCheckpoint:
+    """Every unreadable checkpoint exits 2 with a message, never a traceback."""
+
+    def _fixture(self, tmp_path):
+        from tensorard import checkpoint, datasets, network
+
+        net = network.build_network(
+            [{"type": "tensorized_linear", "format": "cp", "row_dims": [4],
+              "col_dims": [3], "max_rank": 2, "activation": "identity"}],
+            classes=3, rng=np.random.default_rng(0),
+        )
+        good = tmp_path / "good.npz"
+        checkpoint.save_network(net, good)
+        rng = np.random.default_rng(1)
+        datasets.save_dataset(
+            datasets.LabeledDataset(rng.standard_normal((8, 4)),
+                                    rng.integers(0, 3, size=8), 3),
+            tmp_path / "blob",
+        )
+        inp = tmp_path / "x.json"
+        inp.write_text(json.dumps([0.1, 0.2, 0.3, 0.4]))
+        return good, inp
+
+    def _bad_files(self, tmp_path, good):
+        blob = good.read_bytes()
+        with np.load(good) as data:
+            arrays = {k: data[k] for k in data.files}
+        files = {}
+        for cut in (0, 1, 30, len(blob) // 3, len(blob) // 2, len(blob) - 22, len(blob) - 1):
+            files[f"truncated at {cut}"] = blob[:cut]
+        files["garbage"] = bytes(np.random.default_rng(2).integers(0, 256, 2000, dtype=np.uint8))
+        variants = {
+            "no meta": {k: v for k, v in arrays.items() if k != "meta"},
+            "meta not JSON": {**arrays, "meta": np.frombuffer(b"\xff{not json", np.uint8)},
+            "meta JSON of the wrong shape": {**arrays, "meta": np.frombuffer(b"[1, 2]", np.uint8)},
+            "layer arrays missing": {k: v for k, v in arrays.items()
+                                     if k == "meta" or "bias" in k},
+        }
+        for name, contents in variants.items():
+            path = tmp_path / "variant.npz"
+            np.savez(path, **contents)
+            files[name] = path.read_bytes()
+        np.save(tmp_path / "array.npy", np.ones(3))
+        files["a .npy array"] = (tmp_path / "array.npy").read_bytes()
+        return files
+
+    def test_eval_and_predict_exit_two(self, tmp_path, capsys):
+        good, inp = self._fixture(tmp_path)
+        assert cli.main(["eval", "--checkpoint", str(good),
+                         "--data", str(tmp_path / "blob")]) == 0
+        for name, contents in self._bad_files(tmp_path, good).items():
+            bad = tmp_path / "bad.npz"
+            bad.write_bytes(contents)
+            for argv in (
+                ["eval", "--checkpoint", str(bad), "--data", str(tmp_path / "blob")],
+                ["predict", "--checkpoint", str(bad), "--input", str(inp),
+                 "--samples", "4"],
+            ):
+                capsys.readouterr()
+                rc = cli.main(argv)
+                err = capsys.readouterr().err
+                assert rc == 2, (name, argv[0])
+                assert str(bad) in err and "Traceback" not in err, (name, err)

@@ -58,6 +58,18 @@ class TestModeNProduct:
             ba = dense.mode_n_product(dense.mode_n_product(t, b, 2), a, 0)
             np.testing.assert_allclose(ab, ba, atol=1e-12)
 
+    def test_every_axis_of_a_transposed_view_matches_einsum(self):
+        rng = np.random.default_rng(5)
+        t = np.ascontiguousarray(rng.standard_normal((4, 1, 3, 2)).T).T
+        letters = "abcd"
+        for axis in range(4):
+            m = rng.standard_normal((5, t.shape[axis]))
+            out = letters.replace(letters[axis], "z")
+            want = np.einsum(f"{letters},z{letters[axis]}->{out}", t, m)
+            got = dense.mode_n_product(t, m, axis)
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
     def test_dimension_mismatch_rejected(self):
         t = np.zeros((2, 3))
         with pytest.raises(ValueError, match="shape mismatch"):
