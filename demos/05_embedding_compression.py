@@ -3,7 +3,8 @@
 The table never needs materializing: a token's row comes from contracting
 the cores against the token's mixed-radix digits, and the backward pass
 touches only the rows a batch actually used.  Training shrinks the bond
-ranks that the task does not need.  Takes about a minute.
+ranks that the task does not need.  Takes about 16 s on a 2-vCPU Xeon with
+one BLAS thread.
 """
 
 import numpy as np

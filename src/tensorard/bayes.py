@@ -8,7 +8,6 @@ KL gradients noise-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,34 +34,46 @@ __all__ = [
 ]
 
 
-def optimal_rank_var_log_uniform(moment_sum: float, count: int) -> float:
+def _check_rank_var_inputs(moment_sum, count):
+    """``moment_sum`` and ``count`` as float64 arrays or scalars, each checked once."""
+    m = np.asarray(moment_sum, dtype=np.float64)
+    d = np.asarray(count, dtype=np.float64)
+    # min() with an initial value is one reduction and accepts empty input;
+    # NaN propagates through it, so a vector holding NaN passes, as a NaN
+    # entry passed the per-entry comparison.
+    if m.min(initial=0.0) < 0:
+        raise ValueError("moment_sum must be nonnegative")
+    if d.min(initial=1.0) < 1:
+        raise ValueError("count must be at least 1")
+    # [()] turns a 0-d array into a scalar, whose arithmetic skips the
+    # array machinery; an array passes through unchanged.
+    return m[()], d[()]
+
+
+def optimal_rank_var_log_uniform(moment_sum, count):
     """Closed-form KL minimizer for a rank variance under the log-uniform prior.
 
     ``moment_sum`` is the total mean^2 + std^2 of the controlled entries and
-    ``count`` is how many entries there are.
+    ``count`` is how many entries there are.  Either may be an array, one
+    entry per rank variance; they broadcast.
     """
-    if moment_sum < 0:
-        raise ValueError("moment_sum must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    return moment_sum / (count + 1)
+    m, d = _check_rank_var_inputs(moment_sum, count)
+    return m / (d + 1)
 
 
-def optimal_rank_var_half_cauchy(moment_sum: float, count: int, scale: float) -> float:
+def optimal_rank_var_half_cauchy(moment_sum, count, scale: float):
     """Closed-form rank-variance update under the half-Cauchy prior on the stddev.
 
     Shrinks harder as ``scale`` decreases and approaches the log-uniform
-    update M/(D+1) as ``scale`` tends to zero.
+    update M/(D+1) as ``scale`` tends to zero.  Elementwise over arrays, as
+    :func:`optimal_rank_var_log_uniform`.
     """
-    if moment_sum < 0:
-        raise ValueError("moment_sum must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    m, d = _check_rank_var_inputs(moment_sum, count)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    m, d, s2 = float(moment_sum), float(count), scale * scale
+    s2 = scale * scale
     disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
-    return (m - s2 * d + math.sqrt(disc)) / (2 * d + 2)
+    return (m - s2 * d + np.sqrt(disc)) / (2 * d + 2)
 
 
 @dataclass(frozen=True)
@@ -178,30 +189,35 @@ def rank_var_stats(layer: FactorizedLayer, vec_index: int, entry_index: int):
 
 def rank_var_stats_all(layer: FactorizedLayer):
     """Vectorized stats: one (moment_vec, count_vec) pair per rank-variance vector."""
+    return [
+        (m, np.full(m.shape, count, dtype=np.int64))
+        for m, count in _moments_and_counts(layer)
+    ]
+
+
+def _moments_and_counts(layer: FactorizedLayer):
+    """One (moment_vec, count) pair per rank-variance vector.
+
+    Every entry of a vector controls slices of the same size, so one count
+    serves the whole vector.
+    """
     kind = layer.kind
     if kind == "cp":
         moments = sum(_second_moment(f).sum(axis=0) for f in layer.factors)
-        count = sum(f.shape[0] for f in layer.factors)
-        return [(moments, np.full(moments.shape, count, dtype=np.int64))]
+        return [(moments, sum(f.shape[0] for f in layer.factors))]
     if kind == "tucker":
-        out = []
-        for f in layer.factors[:-1]:
-            m = _second_moment(f).sum(axis=0)
-            out.append((m, np.full(m.shape, f.shape[0], dtype=np.int64)))
-        return out
+        return [(_second_moment(f).sum(axis=0), f.shape[0]) for f in layer.factors[:-1]]
     d = layer.order
     out = []
     for i in range(d - 1):
         f = layer.factors[i]
-        axes = tuple(range(f.mean.ndim - 1))
-        m = _second_moment(f).sum(axis=axes)
-        slice_size = f.mean[..., 0].size
-        counts = np.full(m.shape, slice_size, dtype=np.int64)
+        m = _second_moment(f).sum(axis=tuple(range(f.mean.ndim - 1)))
+        count = f.mean[..., 0].size
         if i == d - 2:
             last = layer.factors[d - 1]
             m = m + _second_moment(last).sum(axis=tuple(range(1, last.mean.ndim)))
-            counts = counts + last.mean[0].size
-        out.append((m, counts))
+            count += last.mean[0].size
+        out.append((m, count))
     return out
 
 
@@ -239,13 +255,8 @@ def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float) -> N
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError("step must lie in [0, 1]")
-    for v, (moments, counts) in zip(layer.rank_variances, rank_var_stats_all(layer)):
-        optima = np.array(
-            [
-                hyper_prior.optimal_rank_var(float(m), int(c))
-                for m, c in zip(moments, counts)
-            ]
-        )
+    for v, (moments, count) in zip(layer.rank_variances, _moments_and_counts(layer)):
+        optima = hyper_prior.optimal_rank_var(moments, count)
         v *= 1.0 - step
         v += step * optima
         np.maximum(v, RANK_VAR_FLOOR, out=v)

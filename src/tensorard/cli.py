@@ -361,34 +361,11 @@ def cmd_eval(args):
 
 
 def _param_count_at_max_ranks(net):
-    import math as _math
-
     from . import factorized
-    from .network import Embedding, PlainLinear, TensorizedLinear
 
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, PlainLinear):
-            total += layer.weight.mean.size + layer.bias.mean.size
-            continue
-        fl = layer.weight if isinstance(layer, TensorizedLinear) else layer.table
-        dims = list(fl.row_dims) + list(fl.col_dims)
-        ranks = fl.max_ranks
-        if fl.kind == "cp":
-            total += ranks * sum(dims)
-        elif fl.kind == "tucker":
-            total += _math.prod(ranks) + sum(r * d for r, d in zip(ranks, dims))
-        elif fl.kind == "tt":
-            bonds = [1, *ranks, 1]
-            total += sum(bonds[i] * dims[i] * bonds[i + 1] for i in range(len(dims)))
-        else:
-            bonds = [1, *ranks, 1]
-            total += sum(
-                bonds[i] * fl.row_dims[i] * fl.col_dims[i] * bonds[i + 1]
-                for i in range(len(fl.row_dims))
-            )
-        if isinstance(layer, TensorizedLinear):
-            total += layer.bias.mean.size
+    total = net.param_count()
+    for _, layer in net.factorized_layers():
+        total += factorized.param_count_at_max_ranks(layer) - factorized.param_count(layer)
     return total
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "reconstruct",
     "backprop_reconstruction",
     "param_count",
+    "param_count_at_max_ranks",
     "prune",
     "inferred_ranks",
     "prior_variance_arrays",
@@ -443,6 +444,12 @@ def param_count(layer: FactorizedLayer) -> int:
     return int(sum(f.mean.size for f in layer.factors))
 
 
+def param_count_at_max_ranks(layer: FactorizedLayer) -> int:
+    """Scalar factor entries at ``layer.max_ranks``, the count before any pruning."""
+    shapes = _factor_shapes(layer.kind, layer.row_dims, layer.col_dims, layer.max_ranks)
+    return sum(math.prod(shape) for shape in shapes)
+
+
 def _keep_masks(layer: FactorizedLayer, threshold: float):
     masks = [v >= threshold for v in layer.rank_variances]
     for n, mask in enumerate(masks):
@@ -572,7 +579,6 @@ def init_layer(
             raise ValueError("TTM needs equal-length row and column dims")
     else:
         d = len(row_dims) + len(col_dims)
-    dims = list(row_dims) + list(col_dims)
 
     ranks = _normalize_ranks(kind, d, ranks)
     if kind == "cp":
@@ -587,22 +593,10 @@ def init_layer(
         mean = rng.normal(0.0, s, size=shape)
         return GaussianFactor(mean, np.full(shape, std_ratio * s))
 
+    factors = [draw(shape) for shape in _factor_shapes(kind, row_dims, col_dims, ranks)]
     if kind == "cp":
-        factors = [draw((dims[n], ranks)) for n in range(d)]
         rank_variances = [np.full(ranks, s * s)]
-    elif kind == "tucker":
-        factors = [draw((dims[n], ranks[n])) for n in range(d)]
-        factors.append(draw(tuple(ranks)))
-        rank_variances = [np.full(r, s * s) for r in ranks]
-    elif kind == "tt":
-        bonds = [1, *ranks, 1]
-        factors = [draw((bonds[n], dims[n], bonds[n + 1])) for n in range(d)]
-        rank_variances = [np.full(r, s * s) for r in ranks]
     else:
-        bonds = [1, *ranks, 1]
-        factors = [
-            draw((bonds[n], row_dims[n], col_dims[n], bonds[n + 1])) for n in range(d)
-        ]
         rank_variances = [np.full(r, s * s) for r in ranks]
     return FactorizedLayer(
         kind=kind,
@@ -612,6 +606,23 @@ def init_layer(
         col_dims=col_dims,
         max_ranks=ranks,
     )
+
+
+def _factor_shapes(kind: str, row_dims, col_dims, ranks) -> list:
+    """Shapes of a layer's factors, in storage order, at normalized ``ranks``."""
+    if kind == "ttm":
+        bonds = [1, *ranks, 1]
+        return [
+            (bonds[n], row_dims[n], col_dims[n], bonds[n + 1])
+            for n in range(len(row_dims))
+        ]
+    dims = list(row_dims) + list(col_dims)
+    if kind == "cp":
+        return [(n, ranks) for n in dims]
+    if kind == "tucker":
+        return [(n, r) for n, r in zip(dims, ranks)] + [tuple(ranks)]
+    bonds = [1, *ranks, 1]
+    return [(bonds[n], dims[n], bonds[n + 1]) for n in range(len(dims))]
 
 
 def _normalize_ranks(kind: str, order: int, ranks):

@@ -417,12 +417,39 @@ def embedding_lookup(table: FactorizedLayer, point_factors, indices) -> np.ndarr
 
 
 def _ttm_rows(cores, digits):
-    """Contract TTM cores against per-token digit selections, batched."""
-    out = cores[0][0, digits[:, 0]]  # (tokens, J_0, r_1)
-    for n in range(1, len(cores)):
-        sel = cores[n][:, digits[:, n]]  # (r_{n-1}, tokens, J_n, r_n)
-        out = np.einsum("u...r,rujs->u...js", out, sel, optimize=True)
-    return out[..., 0]
+    """Rows of a TTM table for the tokens whose digits are given: (U, E, 1).
+
+    Algorithm: a left-to-right sweep of batched GEMMs.  Each core's
+    row-digit slices are gathered once into a (U, r_{n-1}, J_n*r_n) stack,
+    and one ``np.matmul`` per core extends the running (U, P, r_{n-1})
+    contraction to (U, P*J_n, r_n), where U counts the tokens and P the
+    column entries built so far.
+    """
+    slices = (_row_slice(core, digits[:, n]) for n, core in enumerate(cores))
+    return _left_environments(slices, len(digits))[-1]
+
+
+def _row_slice(core, digits):
+    """A core's slices at one row digit per token: (U, r_{n-1}, J_n, r_n)."""
+    r_in, rows, cols, r_out = core.shape
+    flat = np.moveaxis(core, 1, 0).reshape(rows, r_in * cols * r_out)
+    return np.take(flat, digits, axis=0).reshape(len(digits), r_in, cols, r_out)
+
+
+def _left_environments(slices, tokens):
+    """Per-token contraction of the leading cores: entry n is (U, J_0..J_n, r_{n+1}).
+
+    The column modes are flattened into one axis in row-major order, so the
+    last entry, once its trailing rank 1 is dropped, holds the rows.
+    """
+    lefts = []
+    for s in slices:
+        _, r_in, cols, r_out = s.shape
+        step = s.reshape(tokens, r_in, cols * r_out)
+        if lefts:
+            step = np.matmul(lefts[-1], step)
+        lefts.append(step.reshape(tokens, step.shape[1] * cols, r_out))
+    return lefts
 
 
 def _digit_matrix(indices, dims):
@@ -441,48 +468,51 @@ def _ttm_embedding_backprop(cores, idx, row_grads, row_dims):
     Equivalent to scattering ``row_grads`` into the dense table gradient and
     backpropagating through the full reconstruction, but the chain runs per
     unique token over the column modes only.
+
+    Algorithm: repeated ids are summed once (``np.add.at``, linear in the
+    batch).  Left and right environments of each core come from batched
+    GEMMs over the U unique tokens, and each core's per-token gradient from
+    two more: the left environment against the row gradient, then the
+    result against the right environment.  A one-hot (I_n x U) GEMM adds
+    the per-token gradients into the core's I_n row slices, at a cost of
+    I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small.
     """
-    d = len(cores)
     unique, inverse = np.unique(np.asarray(idx), return_inverse=True)
-    summed = np.zeros((unique.size, row_grads.shape[1]))
+    tokens = unique.size
+    summed = np.zeros((tokens, row_grads.shape[1]))
     np.add.at(summed, inverse, row_grads)
     digits = _digit_matrix(unique, row_dims)
-    # sel[n]: (tokens, r_n, J_n, r_{n+1}) with boundary ranks 1
-    sel = [np.ascontiguousarray(np.moveaxis(c[:, digits[:, n]], 1, 0))
-           for n, c in enumerate(cores)]
-    col_dims = [c.shape[2] for c in cores]
-    g = summed.reshape(unique.size, *col_dims)
+    slices = [_row_slice(core, digits[:, n]) for n, core in enumerate(cores)]
+    d = len(cores)
+    lefts = _left_environments(slices[:-1], tokens)
+    rights = [None] * d  # rights[n]: (U, r_n, J_n..J_{d-1}), for n >= 1
+    for n in range(d - 1, 0, -1):
+        _, r_in, cols, r_out = slices[n].shape
+        step = slices[n].reshape(tokens, r_in * cols, r_out)
+        if n < d - 1:
+            step = np.matmul(step, rights[n + 1])
+        rights[n] = step.reshape(tokens, r_in, cols * step.shape[2])
 
-    jl = "ABCDEFGH"[:d]  # one letter per column mode
-    lefts = [None] * d  # lefts[n]: (tokens, J_0..J_n, r_{n+1})
-    acc = sel[0][:, 0]
-    lefts[0] = acc
-    for n in range(1, d):
-        acc = np.einsum(f"u...x,ux{jl[n]}y->u...{jl[n]}y", acc, sel[n], optimize=True)
-        lefts[n] = acc
-    rights = [None] * d  # rights[n]: (tokens, r_n, J_n..J_{d-1})
-    acc = sel[d - 1][..., 0]
-    rights[d - 1] = acc
-    for n in range(d - 2, -1, -1):
-        acc = np.einsum(f"ux{jl[n]}y,uy...->ux{jl[n]}...", sel[n], rights[n + 1], optimize=True)
-        rights[n] = acc
-
+    embed = summed.shape[1]
     grads = []
-    for n in range(d):
+    for n, core in enumerate(cores):
+        r_in, rows, cols, r_out = core.shape
         if n == 0:
-            mid = g[:, None]  # (tokens, 1, J_0..J_{d-1})
+            mid = summed.reshape(tokens, cols, embed // cols)  # r_0 = 1
         else:
-            sub = f"u{jl[:n]}x,u{jl}->ux{jl[n:]}"
-            mid = np.einsum(sub, lefts[n - 1], g, optimize=True)
+            left = lefts[n - 1]  # (U, J_0..J_{n-1}, r_n)
+            g = summed.reshape(tokens, left.shape[1], embed // left.shape[1])
+            mid = np.matmul(left.transpose(0, 2, 1), g)
+            mid = mid.reshape(tokens, r_in * cols, g.shape[2] // cols)
         if n == d - 1:
-            per_token = mid[..., None]  # (tokens, r_{d-1}, J_{d-1}, 1)
+            per_token = mid  # (U, r_{d-1} J_{d-1}, 1)
         else:
-            sub = f"ux{jl[n]}{jl[n + 1:]},uy{jl[n + 1:]}->ux{jl[n]}y"
-            per_token = np.einsum(sub, mid, rights[n + 1], optimize=True)
-        # scatter-add token contributions into the core's row-mode slices
-        buf = np.zeros((cores[n].shape[1],) + per_token.shape[1:])
-        np.add.at(buf, digits[:, n], per_token)
-        grads.append(np.ascontiguousarray(np.moveaxis(buf, 0, 1)))
+            per_token = np.matmul(mid, rights[n + 1].transpose(0, 2, 1))
+        one_hot = (digits[:, n] == np.arange(rows)[:, None]).astype(np.float64)
+        buf = one_hot @ per_token.reshape(tokens, r_in * cols * r_out)
+        grads.append(
+            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
+        )
     return grads
 
 

@@ -73,6 +73,7 @@ def run_synthetic(kind, prior):
     return rep.final_ranks["layer0"], time.perf_counter() - started
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", list(SYNTH_CASES))
 def test_criterion_1_synthetic_rank_recovery(kind):
     budget = 600.0  # seconds per format
@@ -582,6 +583,7 @@ def test_criterion_8_variance_reduction():
 
 # -- embedding-layer mechanism at desk scale ---------------------------------------
 
+@pytest.mark.slow
 def test_embedding_ttm_shrinkage_and_lookup():
     rng = np.random.default_rng(90)
     num_tokens, embed_dim, classes = 10_000, 32, 4

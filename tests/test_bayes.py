@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -359,6 +361,64 @@ class TestRankVarianceUpdate:
                 for m, c in zip(moments, counts)
             ]
             np.testing.assert_allclose(v, want, rtol=1e-12)
+
+    # The scalar closed forms as they were before they took arrays, applied
+    # one rank entry at a time: the reference the vectorised update must
+    # match bit for bit.
+    @staticmethod
+    def _scalar_log_uniform(moment_sum, count):
+        return moment_sum / (count + 1)
+
+    @staticmethod
+    def _scalar_half_cauchy(moment_sum, count, scale):
+        m, d, s2 = float(moment_sum), float(count), scale * scale
+        disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
+        return (m - s2 * d + math.sqrt(disc)) / (2 * d + 2)
+
+    def _loop_update(self, layer, prior, step):
+        for v, (moments, counts) in zip(layer.rank_variances, rank_var_stats_all(layer)):
+            if isinstance(prior, HalfCauchy):
+                optima = [self._scalar_half_cauchy(float(m), int(c), prior.scale)
+                          for m, c in zip(moments, counts)]
+            else:
+                optima = [self._scalar_log_uniform(float(m), int(c))
+                          for m, c in zip(moments, counts)]
+            v *= 1.0 - step
+            v += step * np.array(optima)
+            np.maximum(v, 1e-12, out=v)
+
+    @pytest.mark.parametrize("prior", [LogUniform(), HalfCauchy(0.3), HalfCauchy(1e-3)],
+                             ids=["log_uniform", "half_cauchy_0.3", "half_cauchy_1e-3"])
+    @pytest.mark.parametrize("kind,row,col,ranks", [
+        ("cp", [3, 4], [5], 6),
+        ("tucker", [3, 4], [5], [2, 3, 4]),
+        ("tt", [3, 4, 2], [5], [2, 5, 3]),
+        ("ttm", [3, 4, 2], [2, 3, 2], [4, 3]),
+    ])
+    def test_vectorised_update_equals_scalar_loop_bitwise(self, kind, row, col, ranks, prior):
+        rng = np.random.default_rng(18)
+        layer = init_layer(kind, row, col, ranks, rng)
+        for f in layer.factors:
+            f.mean *= rng.uniform(0.0, 3.0, size=f.shape)
+        want = layer.copy()
+        for step in (1.0, 0.3, 0.1):
+            self._loop_update(want, prior, step)
+            update_rank_variances(layer, prior, step)
+            for v, w in zip(layer.rank_variances, want.rank_variances):
+                np.testing.assert_array_equal(v, w)
+        for moments, counts in rank_var_stats_all(layer):
+            for m, c in zip(moments, counts):
+                got = prior.optimal_rank_var(float(m), int(c))
+                if isinstance(prior, HalfCauchy):
+                    assert got == self._scalar_half_cauchy(m, c, prior.scale)
+                else:
+                    assert got == self._scalar_log_uniform(float(m), int(c))
+
+    def test_rejects_bad_moments_or_counts_in_a_vector(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            optimal_rank_var_log_uniform(np.array([1.0, -1e-9]), np.array([3, 3]))
+        with pytest.raises(ValueError, match="at least 1"):
+            optimal_rank_var_half_cauchy(np.array([1.0, 2.0]), np.array([3, 0]), 0.5)
 
 
 class TestHyperPriorObjects:

@@ -123,6 +123,15 @@ class TestParamCount:
         assert param_count(l2) == 7240
         assert param_count(l1) + param_count(l2) + 522 == 26562
 
+    @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)
+    def test_max_rank_count_is_the_count_at_initialisation(self, kind, row, col, ranks):
+        layer = init_layer(kind, row, col, ranks, np.random.default_rng(0))
+        assert factorized.param_count_at_max_ranks(layer) == param_count(layer)
+        layer.rank_variances[0][0] = 1e-9
+        pruned = prune(layer, 1e-6)
+        assert param_count(pruned) < param_count(layer)
+        assert factorized.param_count_at_max_ranks(pruned) == param_count(layer)
+
 
 class TestBackprop:
     @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)

@@ -1,18 +1,20 @@
-"""The factor-gradient kernels against the per-mode kernels they replaced.
+"""The factor-gradient and TTM embedding kernels against the ones they replaced.
 
 The reference functions below are the earlier implementations, kept verbatim:
 one Khatri-Rao product and one unfolding of the full gradient per CP mode,
 d-1 mode products per Tucker mode, and one full-gradient contraction per
-TT core.  They call the current ``dense`` primitives, which
-``test_dense.py`` checks on their own.  The structured kernels in
-``factorized`` sum in another order, so the two must agree to 1e-12
-relative, not bit for bit.
+TT core; for TTM embeddings, per-token ``np.einsum`` chains and
+``np.add.at`` scatters.  They call the current ``dense`` primitives and
+``network._digit_matrix``, which are checked on their own.  The kernels in
+``factorized`` and ``network`` sum in another order, so the two must agree
+to 1e-12 relative, not bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from tensorard import dense, factorized
+from tensorard import dense, factorized, network
+from tensorard.network import _digit_matrix
 
 REL_TOL = 1e-12
 
@@ -103,6 +105,66 @@ def _ttm_backprop(cores, grad):
     merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
     merged_grads = _tt_backprop(merged, merged_grad)
     return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
+
+
+def _ttm_rows(cores, digits):
+    """Contract TTM cores against per-token digit selections, batched."""
+    out = cores[0][0, digits[:, 0]]  # (tokens, J_0, r_1)
+    for n in range(1, len(cores)):
+        sel = cores[n][:, digits[:, n]]  # (r_{n-1}, tokens, J_n, r_n)
+        out = np.einsum("u...r,rujs->u...js", out, sel, optimize=True)
+    return out[..., 0]
+
+
+def _ttm_embedding_backprop(cores, idx, row_grads, row_dims):
+    """Exact table gradients from per-row gradients, touching only seen tokens.
+
+    Equivalent to scattering ``row_grads`` into the dense table gradient and
+    backpropagating through the full reconstruction, but the chain runs per
+    unique token over the column modes only.
+    """
+    d = len(cores)
+    unique, inverse = np.unique(np.asarray(idx), return_inverse=True)
+    summed = np.zeros((unique.size, row_grads.shape[1]))
+    np.add.at(summed, inverse, row_grads)
+    digits = _digit_matrix(unique, row_dims)
+    # sel[n]: (tokens, r_n, J_n, r_{n+1}) with boundary ranks 1
+    sel = [np.ascontiguousarray(np.moveaxis(c[:, digits[:, n]], 1, 0))
+           for n, c in enumerate(cores)]
+    col_dims = [c.shape[2] for c in cores]
+    g = summed.reshape(unique.size, *col_dims)
+
+    jl = "ABCDEFGH"[:d]  # one letter per column mode
+    lefts = [None] * d  # lefts[n]: (tokens, J_0..J_n, r_{n+1})
+    acc = sel[0][:, 0]
+    lefts[0] = acc
+    for n in range(1, d):
+        acc = np.einsum(f"u...x,ux{jl[n]}y->u...{jl[n]}y", acc, sel[n], optimize=True)
+        lefts[n] = acc
+    rights = [None] * d  # rights[n]: (tokens, r_n, J_n..J_{d-1})
+    acc = sel[d - 1][..., 0]
+    rights[d - 1] = acc
+    for n in range(d - 2, -1, -1):
+        acc = np.einsum(f"ux{jl[n]}y,uy...->ux{jl[n]}...", sel[n], rights[n + 1], optimize=True)
+        rights[n] = acc
+
+    grads = []
+    for n in range(d):
+        if n == 0:
+            mid = g[:, None]  # (tokens, 1, J_0..J_{d-1})
+        else:
+            sub = f"u{jl[:n]}x,u{jl}->ux{jl[n:]}"
+            mid = np.einsum(sub, lefts[n - 1], g, optimize=True)
+        if n == d - 1:
+            per_token = mid[..., None]  # (tokens, r_{d-1}, J_{d-1}, 1)
+        else:
+            sub = f"ux{jl[n]}{jl[n + 1:]},uy{jl[n + 1:]}->ux{jl[n]}y"
+            per_token = np.einsum(sub, mid, rights[n + 1], optimize=True)
+        # scatter-add token contributions into the core's row-mode slices
+        buf = np.zeros((cores[n].shape[1],) + per_token.shape[1:])
+        np.add.at(buf, digits[:, n], per_token)
+        grads.append(np.ascontiguousarray(np.moveaxis(buf, 0, 1)))
+    return grads
 
 
 REFERENCE = {
@@ -225,3 +287,61 @@ def test_cp_order_one_gradient_repeats_grad_per_rank():
     grad = rng.standard_normal(4)
     (got,) = factorized.backprop_reconstruction("cp", mats, grad)
     np.testing.assert_array_equal(got, _cp_backprop(mats, grad)[0])
+
+
+# -- TTM embedding kernels ----------------------------------------------------------
+
+
+def check_embedding_kernels(row_dims, col_dims, ranks, idx, rng):
+    dims = list(zip(row_dims, col_dims))
+    cores = random_factors("ttm", dims, ranks, rng)
+    grads = rng.standard_normal((idx.size, int(np.prod(col_dims))))
+    unique = np.unique(idx)
+    digits = _digit_matrix(unique, row_dims)
+    want_rows = _ttm_rows(cores, digits).reshape(unique.size, -1)
+    got_rows = network._ttm_rows(cores, digits).reshape(unique.size, -1)
+    assert_close(got_rows, want_rows)
+    want = _ttm_embedding_backprop(cores, idx, grads, row_dims)
+    got = network._ttm_embedding_backprop(cores, idx, grads, row_dims)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_close(g, w)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 8])
+def test_embedding_kernels_match_reference_on_random_cases(order):
+    """Row and column modes in 1..3 and bonds in 1..4, so size-1 modes and
+    rank-1 bonds are common; batches of 1 to 40 ids."""
+    rng = np.random.default_rng([order, 17])
+    for _ in range(6):
+        row_dims = [int(x) for x in rng.integers(1, 4, size=order)]
+        col_dims = [int(x) for x in rng.integers(1, 4, size=order)]
+        ranks = [int(x) for x in rng.integers(1, 5, size=order - 1)]
+        idx = rng.integers(0, int(np.prod(row_dims)), size=int(rng.integers(1, 41)))
+        check_embedding_kernels(row_dims, col_dims, ranks, idx, rng)
+
+
+def zipf_ids(rng, num_tokens, size):
+    return (rng.zipf(1.3, size=size) - 1) % num_tokens
+
+
+# (row_dims, col_dims, ranks, ids): every bond rank 1, every row mode or
+# every column mode of size 1, a single token, one id repeated, Zipf-repeated
+# ids, and a 4096-row batch of the embedding acceptance table.
+EMBEDDING_CASES = [
+    ([3, 4, 2], [2, 3, 2], [1, 1], lambda rng: rng.integers(0, 24, size=30)),
+    ([1, 1, 1], [2, 3, 2], [3, 2], lambda rng: np.zeros(5, dtype=np.int64)),
+    ([3, 4, 2], [1, 1, 1], [2, 3], lambda rng: rng.integers(0, 24, size=30)),
+    ([5, 4, 3], [2, 2, 3], [3, 4], lambda rng: np.array([37])),
+    ([5, 4, 3], [2, 2, 3], [3, 4], lambda rng: np.full(64, 11)),
+    ([10, 10, 10], [2, 4, 4], [5, 6], lambda rng: zipf_ids(rng, 1000, 512)),
+    ([10, 10, 10, 10], [2, 2, 2, 4], [6, 6, 6],
+     lambda rng: rng.integers(0, 10_000, size=4096)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EMBEDDING_CASES)))
+def test_embedding_kernels_match_reference_on_edge_cases(case):
+    row_dims, col_dims, ranks, make_ids = EMBEDDING_CASES[case]
+    rng = np.random.default_rng(case)
+    check_embedding_kernels(row_dims, col_dims, ranks, make_ids(rng), rng)

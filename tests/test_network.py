@@ -315,6 +315,42 @@ class TestEmbedding:
             for a, b in zip(ref, fast):
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("cores", [9, 10])
+    def test_ttm_table_with_more_than_eight_cores(self, cores):
+        from tensorard.datasets import LabeledDataset
+        from tensorard.network import _ttm_embedding_backprop
+        from tensorard.training import TrainConfig, train
+
+        row_dims, col_dims = [2] * cores, [1] * (cores - 2) + [2, 2]
+        rng = np.random.default_rng(cores)
+        table = init_layer("ttm", row_dims, col_dims, 2, rng, target_var=1.0)
+        points = table.point_means()
+        n_tok = 2**cores
+        idx = rng.integers(0, n_tok, size=300)
+        g = rng.standard_normal((idx.size, 4))
+        dense = np.zeros((n_tok, 4))
+        np.add.at(dense, idx, g)
+        ref = factorized.backprop_reconstruction(
+            "ttm", points, dense.reshape(table.tensor_dims)
+        )
+        fast = _ttm_embedding_backprop(points, idx, g, row_dims)
+        for a, b in zip(ref, fast):
+            np.testing.assert_allclose(a, b, atol=1e-12)
+
+        net = build_network(
+            [
+                {"type": "embedding", "format": "ttm", "row_dims": row_dims,
+                 "col_dims": col_dims, "max_rank": 2},
+                {"type": "plain_linear", "in_features": 4, "out_features": 3},
+            ],
+            classes=3,
+            rng=rng,
+        )
+        data = LabeledDataset(idx, rng.integers(0, 3, size=idx.size), 3)
+        cfg = TrainConfig(epochs=1, batch_size=64, learning_rate=1e-3, seed=0)
+        _, report = train(net, data, cfg)
+        assert len(report.train_acc) == 1
+
     def test_cp_table_embedding_gradients(self):
         rng = np.random.default_rng(31)
         net = build_network(
