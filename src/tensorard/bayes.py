@@ -25,8 +25,11 @@ __all__ = [
     "optimal_rank_var_log_uniform",
     "optimal_rank_var_half_cauchy",
     "kl_gaussian",
+    "gaussian_kl",
+    "gaussian_kl_gradients",
+    "rank_penalty",
+    "sample_gaussians",
     "sample_factors",
-    "rank_var_stats",
     "rank_var_stats_all",
     "kl_gradients",
     "layer_kl",
@@ -140,51 +143,52 @@ def kl_gaussian(mean, std, prior_var):
     )
 
 
-def sample_factors(layer: FactorizedLayer, rng: np.random.Generator):
-    """Draw point factors via mean + z*std, returning the z draws as well.
+def gaussian_kl(gaussians, prior_variances) -> float:
+    """Summed KL of independent Gaussians to N(0, prior variance).
+
+    ``prior_variances`` holds one variance per Gaussian, broadcastable to it.
+    """
+    total = 0.0
+    for g, var in zip(gaussians, prior_variances):
+        total += float(kl_gaussian(g.mean, g.std, var).sum())
+    return total
+
+
+def gaussian_kl_gradients(gaussians, prior_variances):
+    """Exact KL gradients per Gaussian: (d/dmean, d/dstd) arrays.
+
+    d/dmean = mean/prior_var and d/dstd = -1/std + std/prior_var.
+    Deterministic: no sampling.
+    """
+    grads = []
+    for g, var in zip(gaussians, prior_variances):
+        if np.any(g.std <= 0):
+            raise ValueError("std must be positive for KL gradients")
+        grads.append((g.mean / var, -1.0 / g.std + g.std / var))
+    return grads
+
+
+def sample_gaussians(gaussians, rng: np.random.Generator):
+    """Draw points via mean + z*std, returning the z draws as well.
 
     The z record is what lets the stddev gradient reuse the same noise.
+    One ``standard_normal`` call per Gaussian, in list order.
     """
     points, noises = [], []
-    for f in layer.factors:
-        z = rng.standard_normal(f.shape)
-        points.append(f.mean + z * f.std)
+    for g in gaussians:
+        z = rng.standard_normal(g.shape)
+        points.append(g.mean + z * g.std)
         noises.append(z)
     return points, noises
 
 
+def sample_factors(layer: FactorizedLayer, rng: np.random.Generator):
+    """:func:`sample_gaussians` over a layer's factors."""
+    return sample_gaussians(layer.factors, rng)
+
+
 def _second_moment(factor):
     return factor.mean * factor.mean + factor.std * factor.std
-
-
-def rank_var_stats(layer: FactorizedLayer, vec_index: int, entry_index: int):
-    """(moment_sum, count) for one rank-variance entry.
-
-    ``count`` is the number of factor entries whose prior variance this entry
-    controls, and ``moment_sum`` their total mean^2 + std^2.
-    """
-    if not 0 <= vec_index < len(layer.rank_variances):
-        raise IndexError(f"rank-variance vector {vec_index} out of range")
-    if not 0 <= entry_index < layer.rank_variances[vec_index].size:
-        raise IndexError(f"entry {entry_index} out of range")
-    k = entry_index
-    kind = layer.kind
-    if kind == "cp":
-        moment = sum(float(_second_moment(f)[:, k].sum()) for f in layer.factors)
-        count = sum(f.shape[0] for f in layer.factors)
-        return moment, count
-    if kind == "tucker":
-        f = layer.factors[vec_index]
-        return float(_second_moment(f)[:, k].sum()), f.shape[0]
-    d = layer.order
-    f = layer.factors[vec_index]
-    moment = float(_second_moment(f)[..., k].sum())
-    count = f.mean[..., k].size
-    if vec_index == d - 2:
-        last = layer.factors[d - 1]
-        moment += float(_second_moment(last)[k].sum())
-        count += last.mean[k].size
-    return moment, count
 
 
 def rank_var_stats_all(layer: FactorizedLayer):
@@ -222,29 +226,26 @@ def _moments_and_counts(layer: FactorizedLayer):
 
 
 def kl_gradients(layer: FactorizedLayer, weak_prior_var: float = 1.0):
-    """Exact KL gradients per factor: (d/dmean, d/dstd) arrays.
+    """:func:`gaussian_kl_gradients` over a layer's factors.
 
-    d/dstd = -1/std + std/prior_var and d/dmean = mean/prior_var, with the
-    Tucker core using the weak prior variance.  Deterministic: no sampling.
+    Each factor entry's prior variance is its rank variance; the Tucker core
+    uses the weak prior variance.
     """
-    grads = []
-    for f, var in zip(layer.factors, prior_variance_arrays(layer, weak_prior_var)):
-        if np.any(f.std <= 0):
-            raise ValueError("std must be positive for KL gradients")
-        d_mean = f.mean / var
-        d_std = -1.0 / f.std + f.std / var
-        grads.append((d_mean, d_std))
-    return grads
+    return gaussian_kl_gradients(layer.factors, prior_variance_arrays(layer, weak_prior_var))
+
+
+def rank_penalty(layer: FactorizedLayer, hyper_prior) -> float:
+    """Hyper-prior penalty summed over every rank variance of a layer."""
+    total = 0.0
+    for v in layer.rank_variances:
+        total += float(np.sum(hyper_prior.penalty(v)))
+    return total
 
 
 def layer_kl(layer: FactorizedLayer, hyper_prior, weak_prior_var: float = 1.0) -> float:
     """Total KL of one layer: Gaussian terms plus the rank-variance penalties."""
-    total = 0.0
-    for f, var in zip(layer.factors, prior_variance_arrays(layer, weak_prior_var)):
-        total += float(kl_gaussian(f.mean, f.std, var).sum())
-    for v in layer.rank_variances:
-        total += float(np.sum(hyper_prior.penalty(v)))
-    return total
+    gaussians = gaussian_kl(layer.factors, prior_variance_arrays(layer, weak_prior_var))
+    return gaussians + rank_penalty(layer, hyper_prior)
 
 
 def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float) -> None:

@@ -1,8 +1,10 @@
 """Tensorized feed-forward classifiers with a multinomial likelihood.
 
-Layers materialize their weight matrix from sampled (or mean) factors on
-every pass; the backward pass maps the dense weight gradient back onto the
-factor entries exactly.
+Every layer lists its variational Gaussians (factors, cores, plain weights,
+biases) and their prior variances; sampling, the KL and its gradient run
+over that list.  Layers materialize their weight matrix from sampled (or
+mean) factors on every pass; the backward pass maps the dense weight
+gradient back onto the factor entries exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "PlainLinear",
     "Embedding",
     "Network",
-    "LayerSample",
-    "LayerGrads",
     "softmax",
     "nll_multinomial",
     "embedding_lookup",
@@ -53,6 +53,14 @@ class TensorizedLinear:
         if self.bias.mean.ndim != 1 or self.bias.mean.size != self.out_features:
             raise ValueError("bias length must equal out_features")
 
+    def gaussians(self):
+        """The layer's variational Gaussians: the weight factors, then the bias."""
+        return [*self.weight.factors, self.bias]
+
+    def prior_variances(self, weak_var):
+        """Prior variance of each Gaussian, broadcastable to it."""
+        return [*factorized.prior_variance_arrays(self.weight, weak_var), weak_var]
+
 
 @dataclass
 class PlainLinear:
@@ -69,6 +77,12 @@ class PlainLinear:
             raise ValueError("plain weight must be a matrix")
         if self.bias.mean.size != self.weight.mean.shape[1]:
             raise ValueError("bias length must equal out_features")
+
+    def gaussians(self):
+        return [self.weight, self.bias]
+
+    def prior_variances(self, weak_var):
+        return [weak_var, weak_var]
 
     @property
     def in_features(self):
@@ -93,29 +107,15 @@ class Embedding:
         if math.prod(self.table.col_dims) != self.embed_dim:
             raise ValueError("col dims must factor the embedding size exactly")
 
+    def gaussians(self):
+        return list(self.table.factors)
+
+    def prior_variances(self, weak_var):
+        return factorized.prior_variance_arrays(self.table, weak_var)
+
     @property
     def out_features(self):
         return self.embed_dim
-
-
-@dataclass
-class LayerSample:
-    """One joint draw for a layer: factor points, their z record, bias draw."""
-
-    points: list | None = None
-    noises: list | None = None
-    bias_point: np.ndarray | None = None
-    bias_noise: np.ndarray | None = None
-
-
-@dataclass
-class LayerGrads:
-    """Gradients w.r.t. one layer's variational parameters."""
-
-    factor_mean: list | None = None
-    factor_std: list | None = None
-    bias_mean: np.ndarray | None = None
-    bias_std: np.ndarray | None = None
 
 
 class Network:
@@ -139,44 +139,17 @@ class Network:
                 )
 
     # -- sampling ------------------------------------------------------------
+    #
+    # A draw holds one (points, noises) pair per layer and a gradient one
+    # list of (d/dmean, d/dstd) pairs per layer, each aligned with
+    # ``layer.gaussians()``.
 
     def sample(self, rng: np.random.Generator):
         """One joint reparameterized draw of every weight and bias."""
-        state = []
-        for layer in self.layers:
-            if isinstance(layer, TensorizedLinear):
-                points, noises = bayes.sample_factors(layer.weight, rng)
-                bz = rng.standard_normal(layer.bias.shape)
-                state.append(
-                    LayerSample(points, noises, layer.bias.mean + bz * layer.bias.std, bz)
-                )
-            elif isinstance(layer, PlainLinear):
-                wz = rng.standard_normal(layer.weight.shape)
-                bz = rng.standard_normal(layer.bias.shape)
-                state.append(
-                    LayerSample(
-                        [layer.weight.mean + wz * layer.weight.std],
-                        [wz],
-                        layer.bias.mean + bz * layer.bias.std,
-                        bz,
-                    )
-                )
-            else:
-                points, noises = bayes.sample_factors(layer.table, rng)
-                state.append(LayerSample(points, noises))
-        return state
+        return [bayes.sample_gaussians(layer.gaussians(), rng) for layer in self.layers]
 
     def _mean_state(self):
-        state = []
-        for layer in self.layers:
-            if isinstance(layer, TensorizedLinear):
-                state.append(LayerSample([f.mean for f in layer.weight.factors], None,
-                                         layer.bias.mean, None))
-            elif isinstance(layer, PlainLinear):
-                state.append(LayerSample([layer.weight.mean], None, layer.bias.mean, None))
-            else:
-                state.append(LayerSample([f.mean for f in layer.table.factors], None))
-        return state
+        return [([g.mean for g in layer.gaussians()], None) for layer in self.layers]
 
     # -- forward / backward ----------------------------------------------------
 
@@ -185,25 +158,24 @@ class Network:
         state = sample if sample is not None else self._mean_state()
         cache = []
         x = inputs
-        for layer, draw in zip(self.layers, state):
-            entry = {"inputs": x, "draw": draw}
+        for layer, (points, noises) in zip(self.layers, state):
+            entry = {"inputs": x, "points": points, "noises": noises}
             if isinstance(layer, Embedding):
-                idx = _check_indices(x, layer.num_tokens)
-                entry["indices"] = idx
-                x = embedding_lookup(layer.table, draw.points, idx)
+                x = embedding_lookup(layer.table, points, x)
             else:
+                *weight, bias = points
                 if isinstance(layer, TensorizedLinear):
-                    w = factorized.reconstruct(layer.weight.kind, draw.points)
+                    w = factorized.reconstruct(layer.weight.kind, weight)
                     w = w.reshape(layer.in_features, layer.out_features)
                 else:
-                    w = draw.points[0]
+                    (w,) = weight
                 x = np.asarray(x, dtype=np.float64)
                 if x.ndim != 2 or x.shape[1] != w.shape[0]:
                     raise ValueError(
                         f"input of shape {x.shape} does not match layer input "
                         f"size {w.shape[0]}"
                     )
-                pre = x @ w + draw.bias_point
+                pre = x @ w + bias
                 entry["matrix"] = w
                 entry["pre"] = pre
                 x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
@@ -238,48 +210,40 @@ class Network:
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             entry = cache[i]
-            draw = entry["draw"]
-            if draw.noises is None:
+            points, noises = entry["points"], entry["noises"]
+            if noises is None:
                 raise ValueError("backward needs a sampled forward pass (missing z record)")
             if isinstance(layer, Embedding):
-                idx = entry["indices"]
+                idx = entry["inputs"]
                 if layer.table.kind == "ttm":
-                    fgrads = _ttm_embedding_backprop(
-                        draw.points, idx, g, layer.table.row_dims
+                    d_means = _ttm_embedding_backprop(
+                        points, idx, g, layer.table.row_dims
                     )
                 else:
                     table_grad = np.zeros((layer.num_tokens, layer.embed_dim))
                     np.add.at(table_grad, idx, g)
                     tensor_grad = table_grad.reshape(layer.table.tensor_dims)
-                    fgrads = factorized.backprop_reconstruction(
-                        layer.table.kind, draw.points, tensor_grad
+                    d_means = factorized.backprop_reconstruction(
+                        layer.table.kind, points, tensor_grad
                     )
-                grads[i] = LayerGrads(
-                    factor_mean=fgrads,
-                    factor_std=[z * fg for z, fg in zip(draw.noises, fgrads)],
-                )
-                continue
-            if layer.activation == "relu":
-                g = g * (entry["pre"] > 0)
-            x = np.asarray(entry["inputs"], dtype=np.float64)
-            w = entry["matrix"]
-            d_w = x.T @ g
-            d_b = g.sum(axis=0)
-            if i > 0:  # nothing reads the input gradient of the first layer
-                g = g @ w.T
-            if isinstance(layer, TensorizedLinear):
-                tensor_grad = d_w.reshape(layer.weight.tensor_dims)
-                fgrads = factorized.backprop_reconstruction(
-                    layer.weight.kind, draw.points, tensor_grad
-                )
             else:
-                fgrads = [d_w]
-            grads[i] = LayerGrads(
-                factor_mean=fgrads,
-                factor_std=[z * fg for z, fg in zip(draw.noises, fgrads)],
-                bias_mean=d_b,
-                bias_std=draw.bias_noise * d_b,
-            )
+                if layer.activation == "relu":
+                    g = g * (entry["pre"] > 0)
+                x = np.asarray(entry["inputs"], dtype=np.float64)
+                w = entry["matrix"]
+                d_w = x.T @ g
+                d_b = g.sum(axis=0)
+                if i > 0:  # nothing reads the input gradient of the first layer
+                    g = g @ w.T
+                if isinstance(layer, TensorizedLinear):
+                    tensor_grad = d_w.reshape(layer.weight.tensor_dims)
+                    d_means = factorized.backprop_reconstruction(
+                        layer.weight.kind, points[:-1], tensor_grad
+                    )
+                else:
+                    d_means = [d_w]
+                d_means.append(d_b)
+            grads[i] = [(dm, z * dm) for z, dm in zip(noises, d_means)]
         return grads
 
     # -- KL over the whole model -------------------------------------------------
@@ -289,67 +253,24 @@ class Network:
         weak_var = weak_prior_std * weak_prior_std
         total = 0.0
         for layer in self.layers:
-            if isinstance(layer, TensorizedLinear):
-                total += bayes.layer_kl(layer.weight, hyper_prior, weak_var)
-                total += float(
-                    bayes.kl_gaussian(layer.bias.mean, layer.bias.std, weak_var).sum()
-                )
-            elif isinstance(layer, PlainLinear):
-                for g in (layer.weight, layer.bias):
-                    total += float(bayes.kl_gaussian(g.mean, g.std, weak_var).sum())
-            else:
-                total += bayes.layer_kl(layer.table, hyper_prior, weak_var)
+            total += bayes.gaussian_kl(layer.gaussians(), layer.prior_variances(weak_var))
+        for _, fl in self.factorized_layers():
+            total += bayes.rank_penalty(fl, hyper_prior)
         return total
 
     def kl_gradients(self, weak_prior_std: float = 1.0):
         """KL-part gradients in the same structure as :meth:`backward` returns."""
         weak_var = weak_prior_std * weak_prior_std
-        grads = []
-        for layer in self.layers:
-            if isinstance(layer, TensorizedLinear):
-                fg = bayes.kl_gradients(layer.weight, weak_var)
-                grads.append(
-                    LayerGrads(
-                        factor_mean=[m for m, _ in fg],
-                        factor_std=[s for _, s in fg],
-                        bias_mean=layer.bias.mean / weak_var,
-                        bias_std=-1.0 / layer.bias.std + layer.bias.std / weak_var,
-                    )
-                )
-            elif isinstance(layer, PlainLinear):
-                grads.append(
-                    LayerGrads(
-                        factor_mean=[layer.weight.mean / weak_var],
-                        factor_std=[
-                            -1.0 / layer.weight.std + layer.weight.std / weak_var
-                        ],
-                        bias_mean=layer.bias.mean / weak_var,
-                        bias_std=-1.0 / layer.bias.std + layer.bias.std / weak_var,
-                    )
-                )
-            else:
-                fg = bayes.kl_gradients(layer.table, weak_var)
-                grads.append(
-                    LayerGrads(
-                        factor_mean=[m for m, _ in fg],
-                        factor_std=[s for _, s in fg],
-                    )
-                )
-        return grads
+        return [
+            bayes.gaussian_kl_gradients(layer.gaussians(), layer.prior_variances(weak_var))
+            for layer in self.layers
+        ]
 
     # -- bookkeeping ---------------------------------------------------------------
 
     def param_count(self) -> int:
         """Factor, plain-weight and bias entries at the current ranks."""
-        total = 0
-        for layer in self.layers:
-            if isinstance(layer, TensorizedLinear):
-                total += factorized.param_count(layer.weight) + layer.bias.mean.size
-            elif isinstance(layer, PlainLinear):
-                total += layer.weight.mean.size + layer.bias.mean.size
-            else:
-                total += factorized.param_count(layer.table)
-        return total
+        return sum(g.mean.size for layer in self.layers for g in layer.gaussians())
 
     def dense_param_count(self) -> int:
         """Entries of the equivalent untensorized model (weights plus biases)."""

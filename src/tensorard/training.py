@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bayes, checkpoint, datasets, factorized, network
 from .factorized import RANK_VAR_FLOOR, SIGMA_FLOOR
-from .network import Embedding, Network, PlainLinear, TensorizedLinear
+from .network import Embedding, Network, TensorizedLinear
 
 __all__ = [
     "TrainConfig",
@@ -163,36 +163,18 @@ def _apply_update(param, like_grad, kl_grad, lr, n_data, beta):
 
 
 def _step_network(net, like, klg, lr, n_data, beta):
-    for layer, lg, kg in zip(net.layers, like, klg):
-        if isinstance(layer, TensorizedLinear):
-            gaussians = layer.weight.factors
-        elif isinstance(layer, PlainLinear):
-            gaussians = [layer.weight]
-        else:
-            gaussians = layer.table.factors
-        for f, lm, ls, km, ks in zip(
-            gaussians, lg.factor_mean, lg.factor_std, kg.factor_mean, kg.factor_std
-        ):
-            _apply_update(f.mean, lm, km, lr, n_data, beta)
-            _apply_update(f.std, ls, ks, lr, n_data, beta)
-            np.maximum(f.std, SIGMA_FLOOR, out=f.std)
-        if lg.bias_mean is not None:
-            bias = layer.bias
-            _apply_update(bias.mean, lg.bias_mean, kg.bias_mean, lr, n_data, beta)
-            _apply_update(bias.std, lg.bias_std, kg.bias_std, lr, n_data, beta)
-            np.maximum(bias.std, SIGMA_FLOOR, out=bias.std)
+    for layer, like_grads, kl_grads in zip(net.layers, like, klg):
+        for g, (lm, ls), (km, ks) in zip(layer.gaussians(), like_grads, kl_grads):
+            _apply_update(g.mean, lm, km, lr, n_data, beta)
+            _apply_update(g.std, ls, ks, lr, n_data, beta)
+            np.maximum(g.std, SIGMA_FLOOR, out=g.std)
 
 
 def _find_bad_layer(net, logits):
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, TensorizedLinear):
-            arrays = [f.mean for f in layer.weight.factors]
-        elif isinstance(layer, PlainLinear):
-            arrays = [layer.weight.mean]
-        else:
-            arrays = [f.mean for f in layer.table.factors]
-        if any(not np.isfinite(a).all() for a in arrays):
-            return i
+        for g in layer.gaussians():
+            if not (np.isfinite(g.mean).all() and np.isfinite(g.std).all()):
+                return i
     if logits is not None and not np.isfinite(logits).all():
         return len(net.layers) - 1
     return "unknown"

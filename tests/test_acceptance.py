@@ -24,7 +24,7 @@ from tensorard.bayes import (
     optimal_rank_var_half_cauchy,
     optimal_rank_var_log_uniform,
 )
-from tensorard.network import LayerSample, build_network, embedding_lookup
+from tensorard.network import build_network, embedding_lookup
 from tensorard.training import TrainConfig, evaluate, train
 
 
@@ -332,22 +332,19 @@ def test_criterion_5_likelihood_gradients(kind):
     _, cache = net.forward(x, sample=state, want_cache=True)
     grads = net.backward(cache, y)
     layer = net.layers[0]
-    draw = state[0]
+    noises = state[0][1]
 
     def loss():
-        points = [f.mean + z * f.std for f, z in zip(layer.weight.factors, draw.noises)]
-        bias_point = layer.bias.mean + draw.bias_noise * layer.bias.std
-        st = [LayerSample(points, draw.noises, bias_point, draw.bias_noise)]
+        points = [g.mean + z * g.std for g, z in zip(layer.gaussians(), noises)]
+        st = [(points, noises)]
         return network.nll_multinomial(net.forward(x, sample=st), y)
 
     h = 1e-5
     worst = 0.0
     checks = []
-    for fi, f in enumerate(layer.weight.factors):
-        checks.append((f.mean, grads[0].factor_mean[fi]))
-        checks.append((f.std, grads[0].factor_std[fi]))
-    checks.append((layer.bias.mean, grads[0].bias_mean))
-    checks.append((layer.bias.std, grads[0].bias_std))
+    for g, (d_mean, d_std) in zip(layer.gaussians(), grads[0]):
+        checks.append((g.mean, d_mean))
+        checks.append((g.std, d_std))
     for arr, grad in checks:
         flat = arr.reshape(-1)
         gf = np.asarray(grad).reshape(-1)

@@ -14,7 +14,6 @@ from tensorard.bayes import (
     layer_kl,
     optimal_rank_var_half_cauchy,
     optimal_rank_var_log_uniform,
-    rank_var_stats,
     rank_var_stats_all,
     sample_factors,
     update_rank_variances,
@@ -157,6 +156,41 @@ class TestHalfCauchyUpdate:
         got = optimal_rank_var_half_cauchy(1.0, 4, 0.5)
         want = golden_minimize(lambda x: hc_objective(x, 1.0, 4, 0.5))
         assert abs(got - want) / want < 1e-6
+
+
+def rank_var_stats(layer, vec_index, entry_index):
+    """(moment_sum, count) for one rank-variance entry, one slice at a time.
+
+    The per-entry oracle for :func:`bayes.rank_var_stats_all`: ``count`` is
+    the number of factor entries whose prior variance this entry controls,
+    and ``moment_sum`` their total mean^2 + std^2.
+    """
+    if not 0 <= vec_index < len(layer.rank_variances):
+        raise IndexError(f"rank-variance vector {vec_index} out of range")
+    if not 0 <= entry_index < layer.rank_variances[vec_index].size:
+        raise IndexError(f"entry {entry_index} out of range")
+
+    def second_moment(factor):
+        return factor.mean * factor.mean + factor.std * factor.std
+
+    k = entry_index
+    kind = layer.kind
+    if kind == "cp":
+        moment = sum(float(second_moment(f)[:, k].sum()) for f in layer.factors)
+        count = sum(f.shape[0] for f in layer.factors)
+        return moment, count
+    if kind == "tucker":
+        f = layer.factors[vec_index]
+        return float(second_moment(f)[:, k].sum()), f.shape[0]
+    d = layer.order
+    f = layer.factors[vec_index]
+    moment = float(second_moment(f)[..., k].sum())
+    count = f.mean[..., k].size
+    if vec_index == d - 2:
+        last = layer.factors[d - 1]
+        moment += float(second_moment(last)[k].sum())
+        count += last.mean[k].size
+    return moment, count
 
 
 class TestRankVarStats:

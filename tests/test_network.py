@@ -5,9 +5,7 @@ from tensorard import factorized, network
 from tensorard.factorized import GaussianFactor, init_layer
 from tensorard.network import (
     Embedding,
-    LayerSample,
     Network,
-    PlainLinear,
     TensorizedLinear,
     build_network,
     embedding_lookup,
@@ -35,35 +33,13 @@ def tiny_net(kind="cp", ranks=3, activation="identity", seed=3, classes=4):
 
 
 def zero_noise_state(net):
-    state = []
-    for layer in net.layers:
-        if isinstance(layer, TensorizedLinear):
-            fs = layer.weight.factors
-            state.append(
-                LayerSample(
-                    [f.mean.copy() for f in fs],
-                    [np.zeros(f.shape) for f in fs],
-                    layer.bias.mean.copy(),
-                    np.zeros(layer.bias.shape),
-                )
-            )
-        elif isinstance(layer, PlainLinear):
-            state.append(
-                LayerSample(
-                    [layer.weight.mean.copy()],
-                    [np.zeros(layer.weight.shape)],
-                    layer.bias.mean.copy(),
-                    np.zeros(layer.bias.shape),
-                )
-            )
-        else:
-            fs = layer.table.factors
-            state.append(
-                LayerSample(
-                    [f.mean.copy() for f in fs], [np.zeros(f.shape) for f in fs]
-                )
-            )
-    return state
+    return [
+        (
+            [g.mean.copy() for g in layer.gaussians()],
+            [np.zeros(g.shape) for g in layer.gaussians()],
+        )
+        for layer in net.layers
+    ]
 
 
 class TestForward:
@@ -192,23 +168,18 @@ class TestBackward:
         _, cache = net.forward(x, sample=state, want_cache=True)
         grads = net.backward(cache, y)
         layer = net.layers[0]
-        draw = state[0]
+        noises = state[0][1]
 
         def loss():
-            points = [
-                f.mean + z * f.std for f, z in zip(layer.weight.factors, draw.noises)
-            ]
-            bias_point = layer.bias.mean + draw.bias_noise * layer.bias.std
-            st = [LayerSample(points, draw.noises, bias_point, draw.bias_noise)]
+            points = [g.mean + z * g.std for g, z in zip(layer.gaussians(), noises)]
+            st = [(points, noises)]
             return nll_multinomial(net.forward(x, sample=st), y)
 
         h = 1e-5
         checks = []
-        for fi, f in enumerate(layer.weight.factors):
-            checks.append((f.mean, grads[0].factor_mean[fi]))
-            checks.append((f.std, grads[0].factor_std[fi]))
-        checks.append((layer.bias.mean, grads[0].bias_mean))
-        checks.append((layer.bias.std, grads[0].bias_std))
+        for g, (d_mean, d_std) in zip(layer.gaussians(), grads[0]):
+            checks.append((g.mean, d_mean))
+            checks.append((g.std, d_std))
         for arr, grad in checks:
             flat = arr.reshape(-1)
             gf = np.asarray(grad).reshape(-1)
@@ -231,13 +202,8 @@ class TestBackward:
         state = net.sample(np.random.default_rng(14))
         _, cache = net.forward(x, sample=state, want_cache=True)
         grads = net.backward(cache, y)
-        for z, gm, gs in zip(
-            state[0].noises, grads[0].factor_mean, grads[0].factor_std
-        ):
+        for z, (gm, gs) in zip(state[0][1], grads[0]):
             np.testing.assert_allclose(gs, z * gm, atol=1e-15)
-        np.testing.assert_allclose(
-            grads[0].bias_std, state[0].bias_noise * grads[0].bias_mean, atol=1e-15
-        )
 
     def test_zero_inputs_symmetric_labels_stationary(self):
         net = tiny_net(kind="cp", ranks=2, classes=2, seed=15)
@@ -247,9 +213,8 @@ class TestBackward:
         state = zero_noise_state(net)
         _, cache = net.forward(x, sample=state, want_cache=True)
         grads = net.backward(cache, y)
-        for g in grads[0].factor_mean:
+        for g, _ in grads[0]:
             np.testing.assert_allclose(g, 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads[0].bias_mean, 0.0, atol=1e-15)
 
     def test_posterior_mean_cache_rejected(self):
         net = tiny_net()
@@ -368,19 +333,17 @@ class TestEmbedding:
         _, cache = net.forward(tokens, sample=state, want_cache=True)
         grads = net.backward(cache, labels)
         layer = net.layers[0]
-        draw = state[0]
+        noises = state[0][1]
 
         def loss():
-            points = [
-                f.mean + z * f.std for f, z in zip(layer.table.factors, draw.noises)
-            ]
-            st = [LayerSample(points, draw.noises), state[1]]
+            points = [f.mean + z * f.std for f, z in zip(layer.table.factors, noises)]
+            st = [(points, noises), state[1]]
             return nll_multinomial(net.forward(tokens, sample=st), labels)
 
         h = 1e-6
         for fi, f in enumerate(layer.table.factors):
             flat = f.mean.reshape(-1)
-            gf = grads[0].factor_mean[fi].reshape(-1)
+            gf = grads[0][fi][0].reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
@@ -413,22 +376,20 @@ class TestEmbedding:
         logits, cache = net.forward(tokens, sample=state, want_cache=True)
         assert logits.shape == (4, 3)
         grads = net.backward(cache, labels)
-        assert grads[0].factor_mean is not None
-        assert grads[0].bias_mean is None
+        # one gradient pair per table core, none for a bias
+        assert len(grads[0]) == len(net.layers[0].table.factors)
         # finite-difference spot check on the first embedding core
         layer = net.layers[0]
-        draw = state[0]
+        noises = state[0][1]
 
         def loss():
-            points = [
-                f.mean + z * f.std for f, z in zip(layer.table.factors, draw.noises)
-            ]
-            st = [LayerSample(points, draw.noises), state[1]]
+            points = [f.mean + z * f.std for f, z in zip(layer.table.factors, noises)]
+            st = [(points, noises), state[1]]
             return nll_multinomial(net.forward(tokens, sample=st), labels)
 
         f = layer.table.factors[0]
         flat = f.mean.reshape(-1)
-        gf = grads[0].factor_mean[0].reshape(-1)
+        gf = grads[0][0][0].reshape(-1)
         h = 1e-6
         for j in range(flat.size):
             orig = flat[j]
@@ -524,30 +485,46 @@ class TestKlTotal:
         assert kl_gaussian(1.0, 1.0, 1.0) == 0.5
 
     def test_gradients_match_finite_differences_of_total(self):
-        from tensorard.bayes import LogUniform
+        _check_kl_gradients(tiny_net(kind="cp", ranks=3, seed=30))
 
-        net = tiny_net(kind="cp", ranks=3, seed=30)
-        prior = LogUniform()
-        grads = net.kl_gradients(weak_prior_std=1.3)
-        layer = net.layers[0]
-        h = 1e-6
-        checks = [
-            (f.mean, grads[0].factor_mean[i]) for i, f in enumerate(layer.weight.factors)
-        ]
-        checks += [
-            (f.std, grads[0].factor_std[i]) for i, f in enumerate(layer.weight.factors)
-        ]
-        checks += [(layer.bias.mean, grads[0].bias_mean), (layer.bias.std, grads[0].bias_std)]
-        for arr, grad in checks:
-            flat = arr.reshape(-1)
-            gf = np.asarray(grad).reshape(-1)
-            for j in range(0, flat.size, 5):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = net.kl_total(prior, weak_prior_std=1.3)
-                flat[j] = orig - h
-                down = net.kl_total(prior, weak_prior_std=1.3)
-                flat[j] = orig
-                numeric = (up - down) / (2 * h)
-                rel = abs(numeric - gf[j]) / max(abs(numeric), abs(gf[j]), 1e-8)
-                assert rel < 1e-5
+    @pytest.mark.parametrize("kind", ["tucker", "ttm"])
+    def test_gradients_match_finite_differences_of_total_embedding(self, kind):
+        # Every Gaussian kind at once: table factors (rank prior or, for the
+        # Tucker core, the weak prior), a plain weight and a bias.
+        net = build_network(
+            [
+                {"type": "embedding", "format": kind, "row_dims": [3, 2],
+                 "col_dims": [2, 2], "max_rank": 2},
+                {"type": "plain_linear", "in_features": 4, "out_features": 3},
+            ],
+            classes=3,
+            rng=np.random.default_rng(30),
+        )
+        _check_kl_gradients(net)
+
+
+def _check_kl_gradients(net):
+    """Every fifth entry of every Gaussian: KL gradient vs central differences."""
+    from tensorard.bayes import LogUniform
+
+    prior = LogUniform()
+    grads = net.kl_gradients(weak_prior_std=1.3)
+    h = 1e-6
+    checks = []
+    for layer, layer_grads in zip(net.layers, grads):
+        assert len(layer_grads) == len(layer.gaussians())
+        for g, (d_mean, d_std) in zip(layer.gaussians(), layer_grads):
+            checks += [(g.mean, d_mean), (g.std, d_std)]
+    for arr, grad in checks:
+        flat = arr.reshape(-1)
+        gf = np.asarray(grad).reshape(-1)
+        for j in range(0, flat.size, 5):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = net.kl_total(prior, weak_prior_std=1.3)
+            flat[j] = orig - h
+            down = net.kl_total(prior, weak_prior_std=1.3)
+            flat[j] = orig
+            numeric = (up - down) / (2 * h)
+            rel = abs(numeric - gf[j]) / max(abs(numeric), abs(gf[j]), 1e-8)
+            assert rel < 1e-5

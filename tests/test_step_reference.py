@@ -1,0 +1,315 @@
+"""One training step against the per-layer-type step it replaced.
+
+The reference below is the earlier step, kept verbatim: ``LayerSample`` and
+``LayerGrads`` records, and ``Network.sample``, ``forward``, ``backward``,
+``kl_gradients`` and ``training._step_network`` with one branch per layer
+type (written here as functions of the network).  The current code runs one
+loop over each layer's list of Gaussians.  Both draw the same noise in the
+same order and apply the same arithmetic to each entry, so after k steps
+every mean, std and rank variance must agree bit for bit.
+"""
+
+import copy
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from tensorard import bayes, factorized, training
+from tensorard.factorized import SIGMA_FLOOR
+from tensorard.network import (
+    Embedding,
+    PlainLinear,
+    TensorizedLinear,
+    _check_indices,
+    _check_labels,
+    _ttm_embedding_backprop,
+    build_network,
+    embedding_lookup,
+    softmax,
+)
+from tensorard.training import _apply_update
+
+# -- reference step -----------------------------------------------------------
+
+
+@dataclass
+class LayerSample:
+    """One joint draw for a layer: factor points, their z record, bias draw."""
+
+    points: list | None = None
+    noises: list | None = None
+    bias_point: np.ndarray | None = None
+    bias_noise: np.ndarray | None = None
+
+
+@dataclass
+class LayerGrads:
+    """Gradients w.r.t. one layer's variational parameters."""
+
+    factor_mean: list | None = None
+    factor_std: list | None = None
+    bias_mean: np.ndarray | None = None
+    bias_std: np.ndarray | None = None
+
+
+def sample(self, rng: np.random.Generator):
+    """One joint reparameterized draw of every weight and bias."""
+    state = []
+    for layer in self.layers:
+        if isinstance(layer, TensorizedLinear):
+            points, noises = bayes.sample_factors(layer.weight, rng)
+            bz = rng.standard_normal(layer.bias.shape)
+            state.append(
+                LayerSample(points, noises, layer.bias.mean + bz * layer.bias.std, bz)
+            )
+        elif isinstance(layer, PlainLinear):
+            wz = rng.standard_normal(layer.weight.shape)
+            bz = rng.standard_normal(layer.bias.shape)
+            state.append(
+                LayerSample(
+                    [layer.weight.mean + wz * layer.weight.std],
+                    [wz],
+                    layer.bias.mean + bz * layer.bias.std,
+                    bz,
+                )
+            )
+        else:
+            points, noises = bayes.sample_factors(layer.table, rng)
+            state.append(LayerSample(points, noises))
+    return state
+
+
+def forward(self, inputs, sample=None, want_cache: bool = False):
+    """Logits for a batch; posterior-mean weights when ``sample`` is None."""
+    state = sample if sample is not None else self._mean_state()
+    cache = []
+    x = inputs
+    for layer, draw in zip(self.layers, state):
+        entry = {"inputs": x, "draw": draw}
+        if isinstance(layer, Embedding):
+            idx = _check_indices(x, layer.num_tokens)
+            entry["indices"] = idx
+            x = embedding_lookup(layer.table, draw.points, idx)
+        else:
+            if isinstance(layer, TensorizedLinear):
+                w = factorized.reconstruct(layer.weight.kind, draw.points)
+                w = w.reshape(layer.in_features, layer.out_features)
+            else:
+                w = draw.points[0]
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != w.shape[0]:
+                raise ValueError(
+                    f"input of shape {x.shape} does not match layer input "
+                    f"size {w.shape[0]}"
+                )
+            pre = x @ w + draw.bias_point
+            entry["matrix"] = w
+            entry["pre"] = pre
+            x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        cache.append(entry)
+    logits = x
+    if want_cache:
+        return logits, cache
+    return logits
+
+def backward(self, cache, labels):
+    """Gradients of the batch-mean NLL w.r.t. every variational parameter.
+
+    Requires a cache from a forward pass in sampled mode; the recorded z
+    turns each likelihood mean-gradient into the matching std-gradient.
+    """
+    labels = _check_labels(labels, self.classes)
+    last = cache[-1]
+    out = last["pre"] if "pre" in last else None
+    if out is None:
+        raise ValueError("cannot backpropagate through an embedding-only network")
+    final_layer = self.layers[-1]
+    final_out = (
+        np.maximum(out, 0.0) if final_layer.activation == "relu" else out
+    )
+    batch = final_out.shape[0]
+    probs = softmax(final_out)
+    g = probs.copy()
+    g[np.arange(batch), labels] -= 1.0
+    g /= batch
+
+    grads = [None] * len(self.layers)
+    for i in range(len(self.layers) - 1, -1, -1):
+        layer = self.layers[i]
+        entry = cache[i]
+        draw = entry["draw"]
+        if draw.noises is None:
+            raise ValueError("backward needs a sampled forward pass (missing z record)")
+        if isinstance(layer, Embedding):
+            idx = entry["indices"]
+            if layer.table.kind == "ttm":
+                fgrads = _ttm_embedding_backprop(
+                    draw.points, idx, g, layer.table.row_dims
+                )
+            else:
+                table_grad = np.zeros((layer.num_tokens, layer.embed_dim))
+                np.add.at(table_grad, idx, g)
+                tensor_grad = table_grad.reshape(layer.table.tensor_dims)
+                fgrads = factorized.backprop_reconstruction(
+                    layer.table.kind, draw.points, tensor_grad
+                )
+            grads[i] = LayerGrads(
+                factor_mean=fgrads,
+                factor_std=[z * fg for z, fg in zip(draw.noises, fgrads)],
+            )
+            continue
+        if layer.activation == "relu":
+            g = g * (entry["pre"] > 0)
+        x = np.asarray(entry["inputs"], dtype=np.float64)
+        w = entry["matrix"]
+        d_w = x.T @ g
+        d_b = g.sum(axis=0)
+        if i > 0:  # nothing reads the input gradient of the first layer
+            g = g @ w.T
+        if isinstance(layer, TensorizedLinear):
+            tensor_grad = d_w.reshape(layer.weight.tensor_dims)
+            fgrads = factorized.backprop_reconstruction(
+                layer.weight.kind, draw.points, tensor_grad
+            )
+        else:
+            fgrads = [d_w]
+        grads[i] = LayerGrads(
+            factor_mean=fgrads,
+            factor_std=[z * fg for z, fg in zip(draw.noises, fgrads)],
+            bias_mean=d_b,
+            bias_std=draw.bias_noise * d_b,
+        )
+    return grads
+
+
+def kl_gradients(self, weak_prior_std: float = 1.0):
+    """KL-part gradients in the same structure as :meth:`backward` returns."""
+    weak_var = weak_prior_std * weak_prior_std
+    grads = []
+    for layer in self.layers:
+        if isinstance(layer, TensorizedLinear):
+            fg = bayes.kl_gradients(layer.weight, weak_var)
+            grads.append(
+                LayerGrads(
+                    factor_mean=[m for m, _ in fg],
+                    factor_std=[s for _, s in fg],
+                    bias_mean=layer.bias.mean / weak_var,
+                    bias_std=-1.0 / layer.bias.std + layer.bias.std / weak_var,
+                )
+            )
+        elif isinstance(layer, PlainLinear):
+            grads.append(
+                LayerGrads(
+                    factor_mean=[layer.weight.mean / weak_var],
+                    factor_std=[
+                        -1.0 / layer.weight.std + layer.weight.std / weak_var
+                    ],
+                    bias_mean=layer.bias.mean / weak_var,
+                    bias_std=-1.0 / layer.bias.std + layer.bias.std / weak_var,
+                )
+            )
+        else:
+            fg = bayes.kl_gradients(layer.table, weak_var)
+            grads.append(
+                LayerGrads(
+                    factor_mean=[m for m, _ in fg],
+                    factor_std=[s for _, s in fg],
+                )
+            )
+    return grads
+
+
+def _step_network(net, like, klg, lr, n_data, beta):
+    for layer, lg, kg in zip(net.layers, like, klg):
+        if isinstance(layer, TensorizedLinear):
+            gaussians = layer.weight.factors
+        elif isinstance(layer, PlainLinear):
+            gaussians = [layer.weight]
+        else:
+            gaussians = layer.table.factors
+        for f, lm, ls, km, ks in zip(
+            gaussians, lg.factor_mean, lg.factor_std, kg.factor_mean, kg.factor_std
+        ):
+            _apply_update(f.mean, lm, km, lr, n_data, beta)
+            _apply_update(f.std, ls, ks, lr, n_data, beta)
+            np.maximum(f.std, SIGMA_FLOOR, out=f.std)
+        if lg.bias_mean is not None:
+            bias = layer.bias
+            _apply_update(bias.mean, lg.bias_mean, kg.bias_mean, lr, n_data, beta)
+            _apply_update(bias.std, lg.bias_std, kg.bias_std, lr, n_data, beta)
+            np.maximum(bias.std, SIGMA_FLOOR, out=bias.std)
+
+
+def reference_step(net, x, y, rng, lr, n_data, beta, weak_prior_std, prior, rank_step):
+    state = sample(net, rng)
+    _, cache = forward(net, x, sample=state, want_cache=True)
+    like = backward(net, cache, y)
+    klg = kl_gradients(net, weak_prior_std)
+    _step_network(net, like, klg, lr, n_data, beta)
+    for _, fl in net.factorized_layers():
+        bayes.update_rank_variances(fl, prior, rank_step)
+
+
+def current_step(net, x, y, rng, lr, n_data, beta, weak_prior_std, prior, rank_step):
+    state = net.sample(rng)
+    _, cache = net.forward(x, sample=state, want_cache=True)
+    like = net.backward(cache, y)
+    klg = net.kl_gradients(weak_prior_std)
+    training._step_network(net, like, klg, lr, n_data, beta)
+    for _, fl in net.factorized_layers():
+        bayes.update_rank_variances(fl, prior, rank_step)
+
+
+# -- cases ----------------------------------------------------------------------
+
+
+def _problem(kind, first):
+    """A ``first`` layer of format ``kind`` (12 inputs or tokens, 6 outputs)
+    followed by a PlainLinear head, with a batch of 16 inputs and labels."""
+    rng = np.random.default_rng(1)
+    col_dims = [6] if first == "tensorized_linear" and kind != "ttm" else [2, 3]
+    layer = {"type": first, "format": kind, "row_dims": [3, 4], "col_dims": col_dims,
+             "max_rank": 3}
+    if first == "tensorized_linear":
+        layer["activation"] = "relu"
+        x = rng.standard_normal((16, 12))
+    else:
+        x = rng.integers(0, 12, size=16)
+    head = {"type": "plain_linear", "in_features": 6, "out_features": 3}
+    net = build_network([layer, head], 3, np.random.default_rng(2))
+    return net, x, rng.integers(0, 3, size=16)
+
+
+def _arrays(net):
+    out = []
+    for layer in net.layers:
+        for g in layer.gaussians():
+            out += [g.mean, g.std]
+    for _, fl in net.factorized_layers():
+        out += fl.rank_variances
+    return out
+
+
+@pytest.mark.parametrize("first", ["tensorized_linear", "embedding"])
+@pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+@pytest.mark.parametrize(
+    "prior", [bayes.LogUniform(), bayes.HalfCauchy(0.3)], ids=["log_uniform", "half_cauchy"]
+)
+def test_steps_match_the_per_type_step_bitwise(kind, first, prior):
+    ref, x, y = _problem(kind, first)
+    cur = copy.deepcopy(ref)
+    assert isinstance(cur.layers[-1], PlainLinear)
+    rng_ref, rng_cur = np.random.default_rng(4), np.random.default_rng(4)
+    for step in range(6):
+        beta = min(1.0, step / 3)  # the first step runs with the KL switched off
+        hyper = (0.05, 16, beta, 0.8, prior, 0.2)
+        reference_step(ref, x, y, rng_ref, *hyper)
+        current_step(cur, x, y, rng_cur, *hyper)
+    got, want = _arrays(cur), _arrays(ref)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.isfinite(a).all() and a.tobytes() == b.tobytes()
+    # Both generators were advanced by the same draws.
+    assert rng_ref.bit_generator.state == rng_cur.bit_generator.state

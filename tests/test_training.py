@@ -158,6 +158,27 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(net, data, cfg)
 
+    @pytest.mark.parametrize("where", ["bias_mean", "factor_std"])
+    def test_divergence_blames_the_layer_holding_the_nan(self, where):
+        data, _ = gen_synthetic("cp", [4], [3], 1, num_samples=160, seed=0)
+        net = build_network(
+            [
+                {"type": "tensorized_linear", "format": "cp", "row_dims": [2, 2],
+                 "col_dims": [3], "max_rank": 2, "activation": "relu"},
+                {"type": "tensorized_linear", "format": "cp", "row_dims": [3],
+                 "col_dims": [3], "max_rank": 2, "activation": "identity"},
+            ],
+            classes=3,
+            rng=np.random.default_rng(1),
+        )
+        layer = net.layers[0]
+        target = layer.bias.mean if where == "bias_mean" else layer.weight.factors[1].std
+        target.flat[0] = np.nan
+        cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=0)
+        with pytest.raises(TrainingDiverged) as caught:
+            train(net, data, cfg)
+        assert caught.value.layer == 0
+
     def test_checkpoints_written_each_epoch(self, tmp_path):
         net, data = toy_problem()
         cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=1e-3, seed=0)
