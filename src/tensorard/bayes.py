@@ -16,6 +16,7 @@ from .factorized import (
     RANK_VAR_FLOOR,
     FactorizedLayer,
     prior_variance_arrays,
+    rank_moments,
 )
 
 __all__ = [
@@ -187,42 +188,12 @@ def sample_factors(layer: FactorizedLayer, rng: np.random.Generator):
     return sample_gaussians(layer.factors, rng)
 
 
-def _second_moment(factor):
-    return factor.mean * factor.mean + factor.std * factor.std
-
-
 def rank_var_stats_all(layer: FactorizedLayer):
     """Vectorized stats: one (moment_vec, count_vec) pair per rank-variance vector."""
     return [
         (m, np.full(m.shape, count, dtype=np.int64))
-        for m, count in _moments_and_counts(layer)
+        for m, count in rank_moments(layer)
     ]
-
-
-def _moments_and_counts(layer: FactorizedLayer):
-    """One (moment_vec, count) pair per rank-variance vector.
-
-    Every entry of a vector controls slices of the same size, so one count
-    serves the whole vector.
-    """
-    kind = layer.kind
-    if kind == "cp":
-        moments = sum(_second_moment(f).sum(axis=0) for f in layer.factors)
-        return [(moments, sum(f.shape[0] for f in layer.factors))]
-    if kind == "tucker":
-        return [(_second_moment(f).sum(axis=0), f.shape[0]) for f in layer.factors[:-1]]
-    d = layer.order
-    out = []
-    for i in range(d - 1):
-        f = layer.factors[i]
-        m = _second_moment(f).sum(axis=tuple(range(f.mean.ndim - 1)))
-        count = f.mean[..., 0].size
-        if i == d - 2:
-            last = layer.factors[d - 1]
-            m = m + _second_moment(last).sum(axis=tuple(range(1, last.mean.ndim)))
-            count += last.mean[0].size
-        out.append((m, count))
-    return out
 
 
 def kl_gradients(layer: FactorizedLayer, weak_prior_var: float = 1.0):
@@ -256,7 +227,7 @@ def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float) -> N
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError("step must lie in [0, 1]")
-    for v, (moments, count) in zip(layer.rank_variances, _moments_and_counts(layer)):
+    for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer)):
         optima = hyper_prior.optimal_rank_var(moments, count)
         v *= 1.0 - step
         v += step * optima

@@ -158,7 +158,7 @@ RUNSPEC_SCHEMA = {
                 "batch_size": {"type": "integer", "minimum": 1},
                 "weak_prior_std": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer"},
-                "init_std_ratio": {"type": "number", "minimum": 0},
+                "init_std_ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },
     },

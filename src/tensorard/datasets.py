@@ -145,10 +145,8 @@ def gen_synthetic(
     _check_true_ranks(kind, row_dims, col_dims, true_ranks)
 
     rng = np.random.default_rng(seed)
-    order = len(row_dims) if kind == "ttm" else len(row_dims) + len(col_dims)
-    ranks = factorized._normalize_ranks(kind, order, true_ranks)
     teacher_weight = factorized.init_layer(
-        kind, row_dims, col_dims, ranks, rng, std_ratio=0.0, target_var=None
+        kind, row_dims, col_dims, true_ranks, rng, std_ratio=0.0, target_var=None
     )
     # Teacher factors are plain N(0,1) draws, not variance-matched.
     for f in teacher_weight.factors:

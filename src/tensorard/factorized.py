@@ -7,6 +7,7 @@ automatic rank determination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "prune",
     "inferred_ranks",
     "prior_variance_arrays",
+    "rank_moments",
     "init_layer",
     "layer_state",
     "layer_from_state",
@@ -86,6 +88,7 @@ class FactorizedLayer:
         Per-rank prior variances.  CP has a single vector of length R,
         Tucker one vector per mode, TT/TTM one vector per interior bond
         (the last bond vector is shared by the last two cores).
+        :func:`_rank_axes` lists the factor slices each vector governs.
     row_dims, col_dims : lists of int
         Folding metadata.  The layer represents a flat buffer of
         prod(row_dims)*prod(col_dims) entries; for TTM the two lists must
@@ -115,9 +118,9 @@ class FactorizedLayer:
         for v in self.rank_variances:
             if np.any(v <= 0):
                 raise ValueError("rank variances must be strictly positive")
+        self._validate_shapes()
         if self.max_ranks is None:
             self.max_ranks = self.ranks
-        self._validate_shapes()
 
     # -- structural queries ------------------------------------------------
 
@@ -156,70 +159,25 @@ class FactorizedLayer:
         )
 
     def _validate_shapes(self):
+        if self.kind == "ttm" and len(self.row_dims) != len(self.col_dims):
+            raise ValueError("TTM needs equal-length row and column dims")
         d = self.order
-        dims = self.tensor_dims
-        if self.kind == "cp":
-            if len(self.factors) != d:
-                raise ValueError(f"CP needs {d} factor matrices, got {len(self.factors)}")
-            r = self.factors[0].shape[1]
-            for n, f in enumerate(self.factors):
-                if f.shape != (dims[n], r):
-                    raise ValueError(
-                        f"CP factor {n} has shape {f.shape}, expected {(dims[n], r)}"
-                    )
-            if len(self.rank_variances) != 1 or self.rank_variances[0].size != r:
-                raise ValueError("CP needs a single rank-variance vector of length R")
-        elif self.kind == "tucker":
-            if len(self.factors) != d + 1:
-                raise ValueError(f"Tucker needs {d} matrices plus a core")
-            core = self.factors[-1]
-            if core.mean.ndim != d:
-                raise ValueError(f"Tucker core must have order {d}")
-            for n, f in enumerate(self.factors[:-1]):
-                if f.shape != (dims[n], core.shape[n]):
-                    raise ValueError(
-                        f"Tucker factor {n} has shape {f.shape}, expected "
-                        f"{(dims[n], core.shape[n])}"
-                    )
-            if len(self.rank_variances) != d:
-                raise ValueError(f"Tucker needs {d} rank-variance vectors")
-            for n, v in enumerate(self.rank_variances):
-                if v.size != core.shape[n]:
-                    raise ValueError(f"rank-variance vector {n} has wrong length")
-        elif self.kind in ("tt", "ttm"):
-            if d < 2:
-                raise ValueError(f"{self.kind} needs at least 2 cores")
-            if len(self.factors) != d:
-                raise ValueError(f"{self.kind} needs {d} cores, got {len(self.factors)}")
-            if self.kind == "ttm" and len(self.row_dims) != len(self.col_dims):
-                raise ValueError("TTM needs equal-length row and column dims")
-            bond = 1
-            for n, f in enumerate(self.factors):
-                shape = f.shape
-                want_order = 3 if self.kind == "tt" else 4
-                if len(shape) != want_order:
-                    raise ValueError(f"core {n} must have order {want_order}")
-                if shape[0] != bond:
-                    raise ValueError(
-                        f"core {n} leading rank {shape[0]} != previous trailing rank {bond}"
-                    )
-                if self.kind == "tt":
-                    if shape[1] != dims[n]:
-                        raise ValueError(f"core {n} mode size {shape[1]} != {dims[n]}")
-                else:
-                    if shape[1] != self.row_dims[n] or shape[2] != self.col_dims[n]:
-                        raise ValueError(
-                            f"core {n} paired sizes {shape[1:3]} != "
-                            f"{(self.row_dims[n], self.col_dims[n])}"
-                        )
-                bond = shape[-1]
-            if bond != 1:
-                raise ValueError("trailing bond rank must be 1")
-            if len(self.rank_variances) != d - 1:
-                raise ValueError(f"{self.kind} needs {d - 1} rank-variance vectors")
-            for n, v in enumerate(self.rank_variances):
-                if v.size != self.factors[n].shape[-1]:
-                    raise ValueError(f"rank-variance vector {n} has wrong length")
+        if self.kind in ("tt", "ttm") and d < 2:
+            raise ValueError(f"{self.kind} needs at least 2 cores")
+        count = len(_rank_axes(self.kind, d))
+        if len(self.rank_variances) != count:
+            raise ValueError(
+                f"{self.kind} needs {count} rank-variance vectors, "
+                f"got {len(self.rank_variances)}"
+            )
+        ranks = _normalize_ranks(self.kind, d, [v.size for v in self.rank_variances])
+        want = _factor_shapes(self.kind, self.row_dims, self.col_dims, ranks)
+        got = [f.shape for f in self.factors]
+        if got != want:
+            raise ValueError(
+                f"{self.kind} factor shapes {got} do not match {want}, the shapes "
+                f"the dims and rank-variance lengths give"
+            )
 
 
 # -- reconstruction ---------------------------------------------------------
@@ -470,32 +428,16 @@ def prune(layer: FactorizedLayer, threshold: float) -> FactorizedLayer:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     masks = _keep_masks(layer, threshold)
-    kind = layer.kind
-    new_factors = []
-    if kind == "cp":
-        (mask,) = masks
-        new_factors = [
-            GaussianFactor(f.mean[:, mask], f.std[:, mask]) for f in layer.factors
-        ]
-    elif kind == "tucker":
-        for n, f in enumerate(layer.factors[:-1]):
-            new_factors.append(GaussianFactor(f.mean[:, masks[n]], f.std[:, masks[n]]))
-        core = layer.factors[-1]
-        sel = np.ix_(*masks)
-        new_factors.append(GaussianFactor(core.mean[sel], core.std[sel]))
-    else:
-        d = layer.order
-        for i, f in enumerate(layer.factors):
-            mean, std = f.mean, f.std
-            if i < d - 1:
-                mean, std = mean[..., masks[i]], std[..., masks[i]]
-            if i > 0:
-                mean, std = mean[masks[i - 1]], std[masks[i - 1]]
-            new_factors.append(GaussianFactor(mean, std))
+    means = [f.mean for f in layer.factors]
+    stds = [f.std for f in layer.factors]
+    for mask, axes in zip(masks, _rank_axes(layer.kind, layer.order)):
+        for n, axis, _ in axes:
+            means[n] = np.compress(mask, means[n], axis=axis)
+            stds[n] = np.compress(mask, stds[n], axis=axis)
     new_vars = [v[m] for v, m in zip(layer.rank_variances, masks)]
     return FactorizedLayer(
-        kind=kind,
-        factors=new_factors,
+        kind=layer.kind,
+        factors=[GaussianFactor(m, s) for m, s in zip(means, stds)],
         rank_variances=new_vars,
         row_dims=list(layer.row_dims),
         col_dims=list(layer.col_dims),
@@ -523,28 +465,75 @@ def prior_variance_arrays(layer: FactorizedLayer, weak_prior_var: float) -> list
     """Per-factor arrays of prior variances, broadcastable to each factor.
 
     Every factor entry's Gaussian prior variance is the rank variance of the
-    slice it lives in; Tucker cores use the weak prior variance instead.
+    slice it lives in along the factor's prior axis; a factor with no prior
+    axis (the Tucker core) uses the weak prior variance instead.
     """
-    kind = layer.kind
-    rv = layer.rank_variances
-    if kind == "cp":
-        return [rv[0][None, :] for _ in layer.factors]
-    if kind == "tucker":
-        out = [rv[n][None, :] for n in range(layer.order)]
-        core_shape = layer.factors[-1].shape
-        out.append(np.full((1,) * len(core_shape), float(weak_prior_var)))
-        return out
-    d = layer.order
+    out = [None] * len(layer.factors)
+    for v, axes in zip(layer.rank_variances, _rank_axes(layer.kind, layer.order)):
+        for n, axis, prior in axes:
+            if prior:
+                out[n] = v.reshape(_axis_shape(layer.factors[n].mean.ndim, axis))
+    weak = float(weak_prior_var)
+    return [
+        np.full((1,) * f.mean.ndim, weak) if var is None else var
+        for var, f in zip(out, layer.factors)
+    ]
+
+
+def rank_moments(layer: FactorizedLayer) -> list:
+    """One (moment_vec, count) pair per rank-variance vector.
+
+    ``moment_vec[r]`` sums mean^2 + std^2 over every factor entry whose prior
+    variance is rank variance r, and ``count`` is how many entries that is.
+    Every entry of a vector governs slices of the same size, so one count
+    serves the whole vector.
+    """
     out = []
-    for i in range(d):
-        nd = layer.factors[i].mean.ndim
-        if i < d - 1:
-            shape = (1,) * (nd - 1) + (rv[i].size,)
-            out.append(rv[i].reshape(shape))
-        else:
-            shape = (rv[d - 2].size,) + (1,) * (nd - 1)
-            out.append(rv[d - 2].reshape(shape))
+    for axes in _rank_axes(layer.kind, layer.order):
+        moments, count = None, 0
+        for n, axis, prior in axes:
+            if not prior:
+                continue
+            f = layer.factors[n]
+            ndim = f.mean.ndim
+            part = (f.mean * f.mean + f.std * f.std).sum(axis=_other_axes(ndim, axis))
+            moments = part if moments is None else moments + part
+            count += f.mean.size // f.shape[axis]
+        out.append((moments, count))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_axes(kind: str, order: int) -> tuple:
+    """The factor slices each rank-variance vector indexes, as (factor, axis, is_prior).
+
+    Rank r of a vector selects index r along ``axis`` of ``factor`` for every
+    listed triple; pruning the rank removes all those slices.  Where
+    ``is_prior`` holds, the rank variance is also the prior variance of the
+    selected entries.  The Tucker core is pruned along every mode but has no
+    prior axis, and the last TT/TTM core's leading bond shares the last
+    interior vector with the trailing bond of the core before it.
+    """
+    d = order
+    if kind == "cp":
+        return (tuple((n, 1, True) for n in range(d)),)
+    if kind == "tucker":
+        return tuple(((n, 1, True), (d, n, False)) for n in range(d))
+    return tuple(((i, -1, True), (i + 1, 0, i == d - 2)) for i in range(d - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_shape(ndim: int, axis: int) -> tuple:
+    """Shape that lays a vector along ``axis`` of an ndim array."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return tuple(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _other_axes(ndim: int, axis: int) -> tuple:
+    """Every axis of an ndim array except ``axis``."""
+    return tuple(a for a in range(ndim) if a != axis % ndim)
 
 
 # -- initialization ----------------------------------------------------------

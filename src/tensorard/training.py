@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.weak_prior_std <= 0:
             raise ValueError("weak_prior_std must be positive")
+        if self.init_std_ratio <= 0:
+            raise ValueError("init_std_ratio must be positive")
 
 
 @dataclass

@@ -72,6 +72,13 @@ class TestValidation:
         assert rc == 2
         assert "scale" in capsys.readouterr().err
 
+    def test_zero_init_std_ratio_names_the_field(self, tmp_path, capsys):
+        spec = synthetic_runspec(tmp_path / "out")
+        spec["train"]["init_std_ratio"] = 0
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        assert rc == 2
+        assert "train/init_std_ratio" in capsys.readouterr().err
+
     def test_missing_spec_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--spec", str(tmp_path / "nope.json")])
         assert rc == 2

@@ -335,6 +335,12 @@ class TestValidation:
                 "tt", bad, layer.rank_variances, layer.row_dims, layer.col_dims
             )
 
+    def test_cp_factor_without_rank_axis_rejected(self):
+        # No max_ranks given, so the constructor also reads the current ranks.
+        flat = GaussianFactor(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="shapes"):
+            FactorizedLayer("cp", [flat], [np.ones(1)], [3], [])
+
 
 class TestInit:
     @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)
