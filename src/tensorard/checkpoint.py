@@ -12,9 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import factorized
-from .factorized import GaussianFactor
-from .network import Embedding, Network, PlainLinear, TensorizedLinear
+from .network import LAYER_TYPES, Network
 
 __all__ = ["save_network", "load_network"]
 
@@ -29,44 +27,10 @@ def save_network(net: Network, path) -> None:
     meta = {"classes": net.classes, "layers": []}
     arrays = {}
     for i, layer in enumerate(net.layers):
-        prefix = f"layer{i}_"
-        if isinstance(layer, TensorizedLinear):
-            lmeta, larrays = factorized.layer_state(layer.weight)
-            meta["layers"].append(
-                {
-                    "type": "tensorized_linear",
-                    "in_features": layer.in_features,
-                    "out_features": layer.out_features,
-                    "activation": layer.activation,
-                    "weight": lmeta,
-                }
-            )
-            for k, v in larrays.items():
-                arrays[prefix + k] = v
-            arrays[prefix + "bias_mean"] = layer.bias.mean
-            arrays[prefix + "bias_std"] = layer.bias.std
-        elif isinstance(layer, PlainLinear):
-            meta["layers"].append(
-                {"type": "plain_linear", "activation": layer.activation}
-            )
-            arrays[prefix + "weight_mean"] = layer.weight.mean
-            arrays[prefix + "weight_std"] = layer.weight.std
-            arrays[prefix + "bias_mean"] = layer.bias.mean
-            arrays[prefix + "bias_std"] = layer.bias.std
-        elif isinstance(layer, Embedding):
-            lmeta, larrays = factorized.layer_state(layer.table)
-            meta["layers"].append(
-                {
-                    "type": "embedding",
-                    "num_tokens": layer.num_tokens,
-                    "embed_dim": layer.embed_dim,
-                    "table": lmeta,
-                }
-            )
-            for k, v in larrays.items():
-                arrays[prefix + k] = v
-        else:
-            raise TypeError(f"cannot serialize layer of type {type(layer)!r}")
+        lmeta, larrays = layer.state()
+        meta["layers"].append({"type": layer.type_name, **lmeta})
+        for k, v in larrays.items():
+            arrays[f"layer{i}_{k}"] = v
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
     )
@@ -117,31 +81,8 @@ def _network_from_state(meta, arrays) -> Network:
         local = {
             k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)
         }
-        if lmeta["type"] == "tensorized_linear":
-            weight = factorized.layer_from_state(lmeta["weight"], local)
-            bias = GaussianFactor(local["bias_mean"], local["bias_std"])
-            layers.append(
-                TensorizedLinear(
-                    weight,
-                    bias,
-                    int(lmeta["in_features"]),
-                    int(lmeta["out_features"]),
-                    activation=lmeta["activation"],
-                )
-            )
-        elif lmeta["type"] == "plain_linear":
-            layers.append(
-                PlainLinear(
-                    GaussianFactor(local["weight_mean"], local["weight_std"]),
-                    GaussianFactor(local["bias_mean"], local["bias_std"]),
-                    activation=lmeta["activation"],
-                )
-            )
-        elif lmeta["type"] == "embedding":
-            table = factorized.layer_from_state(lmeta["table"], local)
-            layers.append(
-                Embedding(table, int(lmeta["num_tokens"]), int(lmeta["embed_dim"]))
-            )
-        else:
+        cls = LAYER_TYPES.get(lmeta["type"])
+        if cls is None:
             raise ValueError(f"unknown layer type {lmeta['type']!r}")
+        layers.append(cls.from_state(lmeta, local))
     return Network(layers, meta["classes"])

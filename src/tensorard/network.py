@@ -5,6 +5,11 @@ biases) and their prior variances; sampling, the KL and its gradient run
 over that list.  Layers materialize their weight matrix from sampled (or
 mean) factors on every pass; the backward pass maps the dense weight
 gradient back onto the factor entries exactly.
+
+Each layer class also owns its forward and backward pass, its dense
+parameter count, its rank-controlled weight and its checkpoint state, and
+``LAYER_TYPES`` maps the run-spec ``type`` strings to the classes, so no
+caller tests a layer's type.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "PlainLinear",
     "Embedding",
     "Network",
+    "LAYER_TYPES",
     "softmax",
     "nll_multinomial",
     "embedding_lookup",
@@ -31,8 +37,45 @@ __all__ = [
 ACTIVATIONS = ("relu", "identity")
 
 
+class _Linear:
+    """Matmul, bias and activation of the linear layers; a subclass builds the
+    weight matrix from its points (``_matrix``) and maps its gradient back
+    onto them (``_weight_grads``).  The bias is the last Gaussian."""
+
+    input_ndim = 2
+
+    def forward(self, x, points):
+        """Layer output for a batch of rows, and the entry :meth:`backward` reads."""
+        *weight, bias = points
+        w = self._matrix(weight)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ValueError(
+                f"input of shape {x.shape} does not match layer input "
+                f"size {w.shape[0]}"
+            )
+        pre = x @ w + bias
+        out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
+        return out, (x, w, pre)
+
+    def backward(self, entry, g, points, need_input_grad):
+        """Mean-gradients of every Gaussian, and the input gradient (or None)."""
+        x, w, pre = entry
+        if self.activation == "relu":
+            g = g * (pre > 0)
+        d_w = x.T @ g
+        d_b = g.sum(axis=0)
+        g_in = g @ w.T if need_input_grad else None
+        return [*self._weight_grads(points[:-1], d_w), d_b], g_in
+
+    @property
+    def dense_params(self):
+        """Entries of the equivalent dense weight plus the bias."""
+        return self.in_features * self.out_features + self.out_features
+
+
 @dataclass
-class TensorizedLinear:
+class TensorizedLinear(_Linear):
     """Fully connected layer whose weight matrix lives in a factorized format."""
 
     weight: FactorizedLayer
@@ -40,6 +83,8 @@ class TensorizedLinear:
     in_features: int
     out_features: int
     activation: str = "relu"
+
+    type_name = "tensorized_linear"
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -61,14 +106,58 @@ class TensorizedLinear:
         """Prior variance of each Gaussian, broadcastable to it."""
         return [*factorized.prior_variance_arrays(self.weight, weak_var), weak_var]
 
+    @property
+    def factorized(self):
+        """The rank-controlled weight, or None for a layer without one."""
+        return self.weight
+
+    def _matrix(self, weight_points):
+        w = factorized.reconstruct(self.weight.kind, weight_points)
+        return w.reshape(self.in_features, self.out_features)
+
+    def _weight_grads(self, weight_points, d_w):
+        tensor_grad = d_w.reshape(self.weight.tensor_dims)
+        return factorized.backprop_reconstruction(self.weight.kind, weight_points, tensor_grad)
+
+    def state(self):
+        """JSON-safe metadata and a dict of named arrays; see :meth:`from_state`."""
+        wmeta, arrays = factorized.layer_state(self.weight)
+        arrays.update(bias_mean=self.bias.mean, bias_std=self.bias.std)
+        return {"in_features": self.in_features, "out_features": self.out_features,
+                "activation": self.activation, "weight": wmeta}, arrays
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        weight = factorized.layer_from_state(meta["weight"], arrays)
+        bias = GaussianFactor(arrays["bias_mean"], arrays["bias_std"])
+        return cls(weight, bias, int(meta["in_features"]), int(meta["out_features"]),
+                   activation=meta["activation"])
+
+    @classmethod
+    def from_config(cls, cfg, rng, std_ratio):
+        """A freshly initialized layer from one run-spec layer mapping."""
+        row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
+        in_features = int(cfg.get("in_features", math.prod(row_dims)))
+        out_features = int(cfg.get("out_features", math.prod(col_dims)))
+        weight = factorized.init_layer(
+            cfg["format"], row_dims, col_dims, cfg.get("max_ranks", cfg.get("max_rank")),
+            rng, fan_in=in_features, std_ratio=std_ratio,
+        )
+        bias = GaussianFactor(np.zeros(out_features), np.full(out_features, 0.01))
+        return cls(weight, bias, in_features, out_features,
+                   activation=cfg.get("activation", "relu"))
+
 
 @dataclass
-class PlainLinear:
+class PlainLinear(_Linear):
     """Untensorized dense layer (used as the output head of embedding models)."""
 
     weight: GaussianFactor
     bias: GaussianFactor
     activation: str = "identity"
+
+    type_name = "plain_linear"
+    factorized = None
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -92,6 +181,34 @@ class PlainLinear:
     def out_features(self):
         return self.weight.mean.shape[1]
 
+    def _matrix(self, weight_points):
+        return weight_points[0]
+
+    def _weight_grads(self, weight_points, d_w):
+        return [d_w]
+
+    def state(self):
+        return {"activation": self.activation}, {
+            "weight_mean": self.weight.mean, "weight_std": self.weight.std,
+            "bias_mean": self.bias.mean, "bias_std": self.bias.std}
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        weight = GaussianFactor(arrays["weight_mean"], arrays["weight_std"])
+        bias = GaussianFactor(arrays["bias_mean"], arrays["bias_std"])
+        return cls(weight, bias, activation=meta["activation"])
+
+    @classmethod
+    def from_config(cls, cfg, rng, std_ratio):
+        n_in, n_out = int(cfg["in_features"]), int(cfg["out_features"])
+        scale = math.sqrt(2.0 / n_in)
+        weight = GaussianFactor(
+            rng.normal(0.0, scale, size=(n_in, n_out)),
+            np.full((n_in, n_out), std_ratio * scale),
+        )
+        bias = GaussianFactor(np.zeros(n_out), np.full(n_out, 0.01))
+        return cls(weight, bias, activation=cfg.get("activation", "identity"))
+
 
 @dataclass
 class Embedding:
@@ -100,6 +217,9 @@ class Embedding:
     table: FactorizedLayer
     num_tokens: int
     embed_dim: int
+
+    type_name = "embedding"
+    input_ndim = 1
 
     def __post_init__(self):
         if math.prod(self.table.row_dims) != self.num_tokens:
@@ -117,6 +237,51 @@ class Embedding:
     def out_features(self):
         return self.embed_dim
 
+    @property
+    def dense_params(self):
+        return self.num_tokens * self.embed_dim
+
+    @property
+    def factorized(self):
+        return self.table
+
+    def forward(self, x, points):
+        """Rows of the drawn table for a batch of token ids; the ids are the entry."""
+        return embedding_lookup(self.table, points, x), x
+
+    def backward(self, entry, g, points, need_input_grad):
+        """Mean-gradients of the table factors; token ids have no input gradient."""
+        if self.table.kind == "ttm":
+            return _ttm_embedding_backprop(points, entry, g, self.table.row_dims), None
+        table_grad = np.zeros((self.num_tokens, self.embed_dim))
+        np.add.at(table_grad, entry, g)
+        tensor_grad = table_grad.reshape(self.table.tensor_dims)
+        return factorized.backprop_reconstruction(self.table.kind, points, tensor_grad), None
+
+    def state(self):
+        tmeta, arrays = factorized.layer_state(self.table)
+        return {"num_tokens": self.num_tokens, "embed_dim": self.embed_dim,
+                "table": tmeta}, arrays
+
+    @classmethod
+    def from_state(cls, meta, arrays):
+        table = factorized.layer_from_state(meta["table"], arrays)
+        return cls(table, int(meta["num_tokens"]), int(meta["embed_dim"]))
+
+    @classmethod
+    def from_config(cls, cfg, rng, std_ratio):
+        row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
+        table = factorized.init_layer(
+            cfg["format"], row_dims, col_dims, cfg.get("max_ranks", cfg.get("max_rank")),
+            rng, target_var=1.0 / math.prod(col_dims), std_ratio=std_ratio,
+        )
+        return cls(table, math.prod(row_dims), math.prod(col_dims))
+
+
+# Every layer class, keyed by the ``type`` string of its run-spec and
+# checkpoint entries.
+LAYER_TYPES = {cls.type_name: cls for cls in (TensorizedLinear, Embedding, PlainLinear)}
+
 
 class Network:
     """Ordered layers ending in a ``classes``-way classifier head."""
@@ -130,7 +295,7 @@ class Network:
         if out != self.classes:
             raise ValueError(f"final layer emits {out} features, expected {classes}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
-            if isinstance(nxt, Embedding):
+            if nxt.input_ndim != 2:
                 raise ValueError("embedding layers must come first")
             if prev.out_features != nxt.in_features:
                 raise ValueError(
@@ -154,36 +319,19 @@ class Network:
     # -- forward / backward ----------------------------------------------------
 
     def forward(self, inputs, sample=None, want_cache: bool = False):
-        """Logits for a batch; posterior-mean weights when ``sample`` is None."""
+        """Logits for a batch; posterior-mean weights when ``sample`` is None.
+
+        The cache holds the logits and each layer's (entry, points, noises).
+        """
         state = sample if sample is not None else self._mean_state()
-        cache = []
+        records = []
         x = inputs
         for layer, (points, noises) in zip(self.layers, state):
-            entry = {"inputs": x, "points": points, "noises": noises}
-            if isinstance(layer, Embedding):
-                x = embedding_lookup(layer.table, points, x)
-            else:
-                *weight, bias = points
-                if isinstance(layer, TensorizedLinear):
-                    w = factorized.reconstruct(layer.weight.kind, weight)
-                    w = w.reshape(layer.in_features, layer.out_features)
-                else:
-                    (w,) = weight
-                x = np.asarray(x, dtype=np.float64)
-                if x.ndim != 2 or x.shape[1] != w.shape[0]:
-                    raise ValueError(
-                        f"input of shape {x.shape} does not match layer input "
-                        f"size {w.shape[0]}"
-                    )
-                pre = x @ w + bias
-                entry["matrix"] = w
-                entry["pre"] = pre
-                x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-            cache.append(entry)
-        logits = x
+            x, entry = layer.forward(x, points)
+            records.append((entry, points, noises))
         if want_cache:
-            return logits, cache
-        return logits
+            return x, (x, records)
+        return x
 
     def backward(self, cache, labels):
         """Gradients of the batch-mean NLL w.r.t. every variational parameter.
@@ -191,58 +339,20 @@ class Network:
         Requires a cache from a forward pass in sampled mode; the recorded z
         turns each likelihood mean-gradient into the matching std-gradient.
         """
-        labels = _check_labels(labels, self.classes)
-        last = cache[-1]
-        out = last["pre"] if "pre" in last else None
-        if out is None:
-            raise ValueError("cannot backpropagate through an embedding-only network")
-        final_layer = self.layers[-1]
-        final_out = (
-            np.maximum(out, 0.0) if final_layer.activation == "relu" else out
-        )
-        batch = final_out.shape[0]
-        probs = softmax(final_out)
-        g = probs.copy()
+        logits, records = cache
+        batch = logits.shape[0]
+        labels = _check_labels(labels, self.classes, batch)
+        g = softmax(logits)
         g[np.arange(batch), labels] -= 1.0
         g /= batch
 
         grads = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            entry = cache[i]
-            points, noises = entry["points"], entry["noises"]
+            entry, points, noises = records[i]
             if noises is None:
                 raise ValueError("backward needs a sampled forward pass (missing z record)")
-            if isinstance(layer, Embedding):
-                idx = entry["inputs"]
-                if layer.table.kind == "ttm":
-                    d_means = _ttm_embedding_backprop(
-                        points, idx, g, layer.table.row_dims
-                    )
-                else:
-                    table_grad = np.zeros((layer.num_tokens, layer.embed_dim))
-                    np.add.at(table_grad, idx, g)
-                    tensor_grad = table_grad.reshape(layer.table.tensor_dims)
-                    d_means = factorized.backprop_reconstruction(
-                        layer.table.kind, points, tensor_grad
-                    )
-            else:
-                if layer.activation == "relu":
-                    g = g * (entry["pre"] > 0)
-                x = np.asarray(entry["inputs"], dtype=np.float64)
-                w = entry["matrix"]
-                d_w = x.T @ g
-                d_b = g.sum(axis=0)
-                if i > 0:  # nothing reads the input gradient of the first layer
-                    g = g @ w.T
-                if isinstance(layer, TensorizedLinear):
-                    tensor_grad = d_w.reshape(layer.weight.tensor_dims)
-                    d_means = factorized.backprop_reconstruction(
-                        layer.weight.kind, points[:-1], tensor_grad
-                    )
-                else:
-                    d_means = [d_w]
-                d_means.append(d_b)
+            # nothing reads the input gradient of the first layer
+            d_means, g = self.layers[i].backward(entry, g, points, i > 0)
             grads[i] = [(dm, z * dm) for z, dm in zip(noises, d_means)]
         return grads
 
@@ -274,23 +384,12 @@ class Network:
 
     def dense_param_count(self) -> int:
         """Entries of the equivalent untensorized model (weights plus biases)."""
-        total = 0
-        for layer in self.layers:
-            if isinstance(layer, Embedding):
-                total += layer.num_tokens * layer.embed_dim
-            else:
-                total += layer.in_features * layer.out_features + layer.out_features
-        return total
+        return sum(layer.dense_params for layer in self.layers)
 
     def factorized_layers(self):
         """(index, FactorizedLayer) pairs for every rank-controlled weight."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, TensorizedLinear):
-                out.append((i, layer.weight))
-            elif isinstance(layer, Embedding):
-                out.append((i, layer.table))
-        return out
+        return [(i, layer.factorized) for i, layer in enumerate(self.layers)
+                if layer.factorized is not None]
 
 
 def softmax(logits):
@@ -308,9 +407,7 @@ def nll_multinomial(logits, labels) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError("logits must be a [batch, classes] matrix")
-    labels = _check_labels(labels, logits.shape[1])
-    if labels.shape[0] != logits.shape[0]:
-        raise ValueError("batch size mismatch between logits and labels")
+    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(logits.shape[0]), labels]
@@ -448,10 +545,13 @@ def _check_indices(indices, num_tokens):
     return idx
 
 
-def _check_labels(labels, classes):
+def _check_labels(labels, classes, batch=None):
+    """Integer labels in [0, classes), 1-d, and ``batch`` long when given."""
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("labels must be integers")
+    if labels.ndim != 1 or (batch is not None and labels.shape[0] != batch):
+        raise ValueError(f"labels of shape {labels.shape} do not hold one entry per input")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError(f"label out of range [0, {classes})")
     return labels
@@ -465,46 +565,8 @@ def build_network(layer_configs, classes: int, rng: np.random.Generator,
     """Build an initialized network from a list of layer config mappings."""
     layers = []
     for cfg in layer_configs:
-        kind = cfg["type"]
-        if kind == "tensorized_linear":
-            row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
-            in_features = int(cfg.get("in_features", math.prod(row_dims)))
-            out_features = int(cfg.get("out_features", math.prod(col_dims)))
-            ranks = cfg.get("max_ranks", cfg.get("max_rank"))
-            weight = factorized.init_layer(
-                cfg["format"], row_dims, col_dims, ranks, rng,
-                fan_in=in_features, std_ratio=std_ratio,
-            )
-            bias = GaussianFactor(
-                np.zeros(out_features), np.full(out_features, 0.01)
-            )
-            layers.append(
-                TensorizedLinear(
-                    weight, bias, in_features, out_features,
-                    activation=cfg.get("activation", "relu"),
-                )
-            )
-        elif kind == "embedding":
-            row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
-            ranks = cfg.get("max_ranks", cfg.get("max_rank"))
-            table = factorized.init_layer(
-                cfg["format"], row_dims, col_dims, ranks, rng,
-                target_var=1.0 / math.prod(col_dims), std_ratio=std_ratio,
-            )
-            layers.append(
-                Embedding(table, math.prod(row_dims), math.prod(col_dims))
-            )
-        elif kind == "plain_linear":
-            n_in, n_out = int(cfg["in_features"]), int(cfg["out_features"])
-            scale = math.sqrt(2.0 / n_in)
-            weight = GaussianFactor(
-                rng.normal(0.0, scale, size=(n_in, n_out)),
-                np.full((n_in, n_out), std_ratio * scale),
-            )
-            bias = GaussianFactor(np.zeros(n_out), np.full(n_out, 0.01))
-            layers.append(
-                PlainLinear(weight, bias, activation=cfg.get("activation", "identity"))
-            )
-        else:
-            raise ValueError(f"unknown layer type {kind!r}")
+        cls = LAYER_TYPES.get(cfg["type"])
+        if cls is None:
+            raise ValueError(f"unknown layer type {cfg['type']!r}")
+        layers.append(cls.from_config(cfg, rng, std_ratio))
     return Network(layers, classes)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bayes, checkpoint, datasets, factorized, network
 from .factorized import RANK_VAR_FLOOR, SIGMA_FLOOR
-from .network import Embedding, Network, TensorizedLinear
+from .network import Network
 
 __all__ = [
     "TrainConfig",
@@ -248,13 +248,9 @@ def train(net: Network, data, config: TrainConfig, test_data=None, out_dir=None)
         if out_path is not None:
             checkpoint.save_network(net, out_path / "checkpoint_last.npz")
 
-    for i, fl in net.factorized_layers():
+    for _, fl in net.factorized_layers():
         pruned = factorized.prune(fl, config.prune_threshold)
-        layer = net.layers[i]
-        if isinstance(layer, TensorizedLinear):
-            layer.weight = pruned
-        else:
-            layer.table = pruned
+        fl.factors, fl.rank_variances = pruned.factors, pruned.rank_variances
     report.params_after_prune = net.param_count()
     report.final_ranks = {
         f"layer{i}": factorized.inferred_ranks(fl, config.prune_threshold)
@@ -284,10 +280,9 @@ def predict_uncertainty(net: Network, inputs, num_samples: int, seed: int = 0):
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     inputs = np.asarray(inputs)
-    # A batch of token ids is 1-d, a batch of feature rows 2-d; one lower
-    # is a single input.
-    batch_ndim = 1 if isinstance(net.layers[0], Embedding) else 2
-    single = inputs.ndim == batch_ndim - 1
+    # The first layer takes batches of input_ndim dimensions (1-d token
+    # ids, 2-d feature rows); one lower is a single input.
+    single = inputs.ndim == net.layers[0].input_ndim - 1
     if single:
         inputs = inputs[None]
     rng = np.random.default_rng(seed)

@@ -108,6 +108,23 @@ class TestTrainCommand:
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
         assert (out_a / "ranks.json").read_bytes() == (out_b / "ranks.json").read_bytes()
 
+    def test_embedding_only_net_trains(self, tmp_path, capsys):
+        # One TTM table whose rows are the logits: embed_dim equals classes.
+        from tensorard import datasets
+
+        tokens = np.random.default_rng(3).integers(0, 20, size=64)
+        datasets.save_dataset(datasets.LabeledDataset(tokens, tokens % 4, 4),
+                              tmp_path / "tokens")
+        spec = synthetic_runspec(tmp_path / "run", epochs=3)
+        spec["model"] = {"classes": 4, "layers": [
+            {"type": "embedding", "format": "ttm", "row_dims": [4, 5],
+             "col_dims": [2, 2], "max_rank": 3}]}
+        spec["data"] = {"kind": "blob", "train_prefix": str(tmp_path / "tokens")}
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert len(report["nll"]) == 3 and report["dense_params"] == 80
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_three(self, tmp_path, capsys):
         spec = synthetic_runspec(tmp_path / "d")
@@ -288,6 +305,9 @@ class TestCorruptCheckpoint:
             "meta JSON of the wrong shape": {**arrays, "meta": np.frombuffer(b"[1, 2]", np.uint8)},
             "layer arrays missing": {k: v for k, v in arrays.items()
                                      if k == "meta" or "bias" in k},
+            "unknown layer type": {**arrays, "meta": np.frombuffer(
+                bytes(arrays["meta"]).replace(b'"tensorized_linear"', b'"conv2d"'),
+                np.uint8)},
         }
         for name, contents in variants.items():
             path = tmp_path / "variant.npz"
@@ -314,3 +334,31 @@ class TestCorruptCheckpoint:
                 err = capsys.readouterr().err
                 assert rc == 2, (name, argv[0])
                 assert str(bad) in err and "Traceback" not in err, (name, err)
+
+
+class TestSchemaPinned:
+    """The run-spec schema stays in cli.py, which must not import numpy before
+    --threads pins BLAS; this keeps its enums equal to the library's tables."""
+
+    def test_layer_types_and_formats_match_the_library(self):
+        from tensorard import factorized, network
+
+        layers = cli.RUNSPEC_SCHEMA["properties"]["model"]["properties"]["layers"]
+        consts = [b["properties"]["type"]["const"] for b in layers["items"]["oneOf"]]
+        assert sorted(consts) == sorted(network.LAYER_TYPES)
+        assert len(consts) == len(network.LAYER_TYPES)
+
+        def format_enums(node):
+            if isinstance(node, dict):
+                if isinstance(node.get("format"), dict):
+                    yield node["format"]["enum"]
+                for value in node.values():
+                    yield from format_enums(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from format_enums(value)
+
+        enums = list(format_enums(cli.RUNSPEC_SCHEMA))
+        assert len(enums) == 3
+        for enum in enums:
+            assert tuple(enum) == factorized.KINDS

@@ -135,6 +135,19 @@ class TestNll:
         with pytest.raises(ValueError, match="label"):
             nll_multinomial(np.zeros((2, 3)), np.array([0, 3]))
 
+    # On a batch of 4: one label that would broadcast, a column of labels,
+    # and too few labels.
+    @pytest.mark.parametrize("shape", [(1,), (4, 1), (2,)], ids=["broadcast", "column", "short"])
+    def test_labels_must_be_one_per_input(self, shape):
+        labels = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="one entry per input"):
+            nll_multinomial(np.zeros((4, 4)), labels)
+        net = tiny_net()
+        state = net.sample(np.random.default_rng(0))
+        _, cache = net.forward(np.ones((4, 6)), sample=state, want_cache=True)
+        with pytest.raises(ValueError, match="one entry per input"):
+            net.backward(cache, labels)
+
 
 class TestBackward:
     @pytest.mark.parametrize(
@@ -400,6 +413,42 @@ class TestEmbedding:
             flat[j] = orig
             numeric = (up - down) / (2 * h)
             assert abs(numeric - gf[j]) < 1e-5 * max(1.0, abs(gf[j]))
+
+    @pytest.mark.parametrize("kind", ["ttm", "cp"])
+    def test_embedding_only_network_gradients(self, kind):
+        # The table rows are the logits: embed_dim equals the class count.
+        net = build_network(
+            [{"type": "embedding", "format": kind, "row_dims": [3, 4],
+              "col_dims": [2, 2] if kind == "ttm" else [4], "max_rank": 2}],
+            classes=4,
+            rng=np.random.default_rng(40),
+        )
+        tokens = np.array([0, 7, 11, 7, 3])
+        labels = np.array([1, 3, 0, 3, 2])
+        state = net.sample(np.random.default_rng(41))
+        _, cache = net.forward(tokens, sample=state, want_cache=True)
+        grads = net.backward(cache, labels)
+        layer = net.layers[0]
+        noises = state[0][1]
+
+        def loss():
+            points = [f.mean + z * f.std for f, z in zip(layer.table.factors, noises)]
+            return nll_multinomial(net.forward(tokens, sample=[(points, noises)]), labels)
+
+        h = 1e-6
+        for f, z, (d_mean, d_std) in zip(layer.table.factors, noises, grads[0]):
+            np.testing.assert_array_equal(d_std, z * d_mean)
+            flat = f.mean.reshape(-1)
+            gf = d_mean.reshape(-1)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + h
+                up = loss()
+                flat[j] = orig - h
+                down = loss()
+                flat[j] = orig
+                numeric = (up - down) / (2 * h)
+                assert abs(numeric - gf[j]) < 1e-6 * max(1.0, abs(gf[j]))
 
 
 class TestStructure:
