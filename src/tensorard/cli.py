@@ -429,7 +429,9 @@ def cmd_synth_gen(args):
     from . import datasets
 
     doc = json.loads(Path(args.spec).read_text())
-    data_cfg = doc.get("data", doc)
+    data_cfg = doc.get("data", doc) if isinstance(doc, dict) else doc
+    if not isinstance(data_cfg, dict):
+        raise SpecError(f"synth-gen spec {args.spec} is not a JSON object")
     if data_cfg.get("kind") != "synthetic":
         raise SpecError("synth-gen needs a spec whose data kind is 'synthetic'")
     validate_runspec_fragment(data_cfg)

@@ -33,6 +33,10 @@ __all__ = [
     "init_layer",
     "layer_state",
     "layer_from_state",
+    "SPLIT_KINDS",
+    "split_madds",
+    "split_forward",
+    "split_backward",
 ]
 
 KINDS = ("cp", "tucker", "tt", "ttm")
@@ -392,6 +396,208 @@ def _ttm_backprop(cores, grad):
     merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
     merged_grads = _tt_backprop(merged, merged_grad)
     return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
+
+
+# -- products through the row|col split --------------------------------------
+#
+# A weight folded as (row modes, col modes) splits at that boundary into
+# W = L·M·Rᵀ for CP, Tucker and TT, so a batch x of rows multiplies as
+# ((x·L)·M)·Rᵀ and neither W nor its gradient is formed.  With g the output
+# gradient, the backward pass needs dL = xᵀ(g·R·Mᵀ), dR = gᵀ(x·L·M),
+# dM = (x·L)ᵀ(g·R) and the input gradient g·R·Mᵀ·Lᵀ; each format maps dL and
+# dR onto its factors.  TTM interleaves row and column modes in every core and
+# has no such split.
+
+
+class _CPSplit:
+    """L and R are the Khatri-Rao products of the row and the column factors; M = I."""
+
+    @staticmethod
+    def madds(shapes, n_row):
+        rows = math.prod(s[0] for s in shapes[:n_row])
+        cols = math.prod(s[0] for s in shapes[n_row:])
+        # forward x·L, ·Rᵀ; g·R, dL, dR; input gradient (g·R)·Lᵀ
+        return 3 * shapes[0][1] * (rows + cols)
+
+    @staticmethod
+    def forward(mats, n_row, x):
+        left = dense.khatri_rao(mats[:n_row])
+        right = dense.khatri_rao(mats[n_row:])
+        xl = x @ left
+        return xl @ right.T, (left, right, xl)
+
+    @staticmethod
+    def backward(mats, n_row, x, memo, g, need_input_grad):
+        left, right, xl = memo
+        gr = g @ right
+        grads = _cp_side(mats[:n_row], x.T @ gr) + _cp_side(mats[n_row:], g.T @ xl)
+        return grads, gr @ left.T if need_input_grad else None
+
+
+class _TuckerSplit:
+    """L and R are the Kronecker products of the row and the column factor
+    matrices, applied mode by mode and never formed; M is the core matricized
+    at the boundary.  A batch axis leads every intermediate."""
+
+    @staticmethod
+    def madds(shapes, n_row):
+        dims = [s[0] for s in shapes[:-1]]
+        ranks = list(shapes[-1])
+        row_i, col_j = dims[:n_row], dims[n_row:]
+        row_r, col_r = ranks[:n_row], ranks[n_row:]
+        core = math.prod(ranks)
+        return (
+            _chain_madds(row_i, row_r) + core + _chain_madds(col_r, col_j)  # forward
+            + _chain_madds(col_j, col_r) + 2 * core  # g·R, dM, (g·R)·Mᵀ
+            + _side_madds(row_i, row_r) + _side_madds(col_j, col_r)  # dL, dR
+            + _chain_madds(row_r, row_i)  # input gradient
+        )
+
+    @staticmethod
+    def forward(factors, n_row, x):
+        core, mats = factors[-1], factors[:-1]
+        batch = x.shape[0]
+        rows, cols = mats[:n_row], mats[n_row:]
+        x_part, xl = _batched_project(x.reshape(batch, *(u.shape[0] for u in rows)), rows)
+        xlm = xl.reshape(batch, -1) @ core.reshape(xl[0].size, -1)
+        xlm = xlm.reshape(batch, *(u.shape[1] for u in cols))
+        out = _batched_chain(xlm, cols, False, range(len(cols)))
+        return out.reshape(batch, -1), (x_part, xl, xlm)
+
+    @staticmethod
+    def backward(factors, n_row, x, memo, g, need_input_grad):
+        core, mats = factors[-1], factors[:-1]
+        x_part, xl, xlm = memo
+        batch = x.shape[0]
+        rows, cols = mats[:n_row], mats[n_row:]
+        g = g.reshape(batch, *(u.shape[0] for u in cols))
+        g_part, gr = _batched_project(g, cols)
+        gr = gr.reshape(batch, -1)
+        m = core.reshape(xl[0].size, gr.shape[1])
+        core_grad = (xl.reshape(batch, -1).T @ gr).reshape(core.shape)
+        grm = (gr @ m.T).reshape(xl.shape)
+        x = x.reshape(batch, *(u.shape[0] for u in rows))
+        grads = _tucker_side(x, rows, grm, x_part) + _tucker_side(g, cols, xlm, g_part)
+        g_in = None
+        if need_input_grad:
+            g_in = _batched_chain(grm, rows, False, range(n_row)).reshape(batch, -1)
+        return grads + [core_grad], g_in
+
+
+def _batched_chain(t, mats, project, modes):
+    """Mode k of ``t`` after its leading batch axis times ``mats[k]``, for each
+    k in ``modes``: projected onto the factor's columns (``t ×ₖ Uᵀ``) when
+    ``project`` holds, else expanded (``t ×ₖ U``)."""
+    for k in modes:
+        t = dense.mode_n_product(t, mats[k].T if project else mats[k], k + 1)
+    return t
+
+
+def _batched_project(t, mats):
+    """``t`` projected onto all but its last mode's factor, and onto all."""
+    part = _batched_chain(t, mats, True, range(len(mats) - 1))
+    return part, dense.mode_n_product(part, mats[-1].T, len(mats))
+
+
+def _tucker_side(t, mats, h, last_part):
+    """Each side factor's gradient from the side's input ``t`` (batch, I_k...)
+    and the gradient ``h`` (batch, R_k...) of its projection onto the factors.
+
+    Mode k's gradient contracts ``h`` with ``t`` projected onto every other
+    mode; for the last mode that projection is ``last_part``, from
+    :func:`_batched_project`.
+    """
+    k = len(mats)
+    grads = []
+    for n in range(k):
+        others = [m for m in range(k) if m != n]
+        partial = last_part if n == k - 1 else _batched_chain(t, mats, True, others)
+        axes = [0] + [m + 1 for m in others]
+        grads.append(np.tensordot(partial, h, axes=(axes, axes)))
+    return grads
+
+
+def _chain_madds(sizes, new_sizes, modes=None):
+    """Multiply-adds per row of mode-by-mode products taking each of ``modes``
+    (default: all, in order) from its entry of ``sizes`` to ``new_sizes``."""
+    sizes, total = list(sizes), 0
+    for k in range(len(sizes)) if modes is None else modes:
+        total += math.prod(sizes) * new_sizes[k]
+        sizes[k] = new_sizes[k]
+    return total
+
+
+def _side_madds(dims, ranks):
+    """Multiply-adds per row of :func:`_tucker_side`."""
+    k = len(dims)
+    # the last mode reuses the projection the product itself made
+    projections = sum(
+        _chain_madds(dims, ranks, [m for m in range(k) if m != n]) for n in range(k - 1)
+    )
+    return projections + sum(dims) * math.prod(ranks)
+
+
+class _TTSplit:
+    """L contracts the row cores into an I x r_b matrix and R the column cores
+    into an r_b x J one, r_b being the bond at the boundary; M = I."""
+
+    @staticmethod
+    def madds(shapes, n_row):
+        rows = math.prod(s[1] for s in shapes[:n_row])
+        cols = math.prod(s[1] for s in shapes[n_row:])
+        return 3 * shapes[n_row][0] * (rows + cols)  # as for CP at rank r_b
+
+    @staticmethod
+    def forward(cores, n_row, x):
+        left = cores[0].reshape(cores[0].shape[1], -1)  # r_0 = 1
+        for core in cores[1:n_row]:
+            r0, n, r1 = core.shape
+            left = (left @ core.reshape(r0, n * r1)).reshape(-1, r1)
+        right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
+        for core in reversed(cores[n_row:-1]):
+            r0, n, r1 = core.shape
+            right = (core.reshape(r0 * n, r1) @ right).reshape(r0, -1)
+        xl = x @ left
+        return xl @ right, (left, right, xl)
+
+    @staticmethod
+    def backward(cores, n_row, x, memo, g, need_input_grad):
+        left, right, xl = memo
+        gr = g @ right.T
+        # Each side is a TT closed by an identity core on the boundary bond,
+        # so the TT sweep maps dL and dR onto the side's cores.
+        eye = np.eye(left.shape[1])
+        rows = _tt_backprop([*cores[:n_row], eye[:, :, None]], x.T @ gr)[:-1]
+        cols = _tt_backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
+        return rows + cols, gr @ left.T if need_input_grad else None
+
+
+_SPLITS = {"cp": _CPSplit, "tucker": _TuckerSplit, "tt": _TTSplit}
+SPLIT_KINDS = frozenset(_SPLITS)
+
+
+@functools.lru_cache(maxsize=None)
+def split_madds(kind: str, shapes: tuple, n_row: int) -> int:
+    """Multiply-adds per input row of one training step through the split.
+
+    ``shapes`` are the factor shapes and ``n_row`` the number of row modes.
+    The count covers the forward product, the weight gradients and the input
+    gradient; building L and R and mapping dL and dR onto the factors do not
+    grow with the batch and are left out.
+    """
+    return _SPLITS[kind].madds(shapes, n_row)
+
+
+def split_forward(kind: str, factors, n_row: int, x):
+    """``x·W`` for a batch of rows ``x``, through the split; returns the
+    product and the record :func:`split_backward` reads."""
+    return _SPLITS[kind].forward(factors, n_row, x)
+
+
+def split_backward(kind: str, factors, n_row: int, x, memo, g, need_input_grad: bool):
+    """Gradients of every factor, and the input gradient (or None), from the
+    gradient ``g`` of the product :func:`split_forward` returned."""
+    return _SPLITS[kind].backward(factors, n_row, x, memo, g, need_input_grad)
 
 
 # -- parameter counting, pruning, rank reporting -----------------------------

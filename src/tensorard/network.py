@@ -2,9 +2,13 @@
 
 Every layer lists its variational Gaussians (factors, cores, plain weights,
 biases) and their prior variances; sampling, the KL and its gradient run
-over that list.  Layers materialize their weight matrix from sampled (or
-mean) factors on every pass; the backward pass maps the dense weight
-gradient back onto the factor entries exactly.
+over that list.  A CP, Tucker or TT linear layer whose row and column dims
+fold its input and output sizes multiplies a batch through its factors,
+W = L·M·Rᵀ, whenever that takes fewer multiply-adds than the dense product;
+otherwise, and for TTM weights, embedding tables and plain layers, a pass
+builds the weight matrix from the sampled (or mean) factors and the backward
+pass maps the dense weight gradient back onto the factor entries.  Either
+way the gradients are exact.
 
 Each layer class also owns its forward and backward pass, its dense
 parameter count, its rank-controlled weight and its checkpoint state, and
@@ -38,40 +42,44 @@ ACTIVATIONS = ("relu", "identity")
 
 
 class _Linear:
-    """Matmul, bias and activation of the linear layers; a subclass builds the
-    weight matrix from its points (``_matrix``) and maps its gradient back
-    onto them (``_weight_grads``).  The bias is the last Gaussian."""
+    """Matmul, bias and activation of the linear layers; a subclass multiplies
+    a batch by its weight (``_product``) and maps the output gradient back onto
+    its weight points and its input (``_product_grads``).  The bias is the last
+    Gaussian."""
 
     input_ndim = 2
 
     def forward(self, x, points):
         """Layer output for a batch of rows, and the entry :meth:`backward` reads."""
         *weight, bias = points
-        w = self._matrix(weight)
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"input of shape {x.shape} does not match layer input "
-                f"size {w.shape[0]}"
+                f"size {self.in_features}"
             )
-        pre = x @ w + bias
+        xw, memo = self._product(x, weight)
+        pre = xw + bias
         out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
-        return out, (x, w, pre)
+        return out, (x, memo, pre)
 
     def backward(self, entry, g, points, need_input_grad):
         """Mean-gradients of every Gaussian, and the input gradient (or None)."""
-        x, w, pre = entry
+        x, memo, pre = entry
         if self.activation == "relu":
             g = g * (pre > 0)
-        d_w = x.T @ g
-        d_b = g.sum(axis=0)
-        g_in = g @ w.T if need_input_grad else None
-        return [*self._weight_grads(points[:-1], d_w), d_b], g_in
+        d_weight, g_in = self._product_grads(x, memo, g, points[:-1], need_input_grad)
+        return [*d_weight, g.sum(axis=0)], g_in
 
     @property
     def dense_params(self):
         """Entries of the equivalent dense weight plus the bias."""
         return self.in_features * self.out_features + self.out_features
+
+
+def _dense_grads(x, w, g, need_input_grad):
+    """The gradient xᵀg of the weight of ``x @ w``, and the input gradient g·wᵀ (or None)."""
+    return x.T @ g, g @ w.T if need_input_grad else None
 
 
 @dataclass
@@ -111,13 +119,43 @@ class TensorizedLinear(_Linear):
         """The rank-controlled weight, or None for a layer without one."""
         return self.weight
 
-    def _matrix(self, weight_points):
-        w = factorized.reconstruct(self.weight.kind, weight_points)
-        return w.reshape(self.in_features, self.out_features)
+    def takes_split(self, weight_points):
+        """Whether a pass with these weight points multiplies through the
+        factors, W = L·M·Rᵀ (see :mod:`tensorard.factorized`), not through W.
 
-    def _weight_grads(self, weight_points, d_w):
+        That path needs a CP, Tucker or TT weight whose row and column dims
+        fold the input and output sizes, and fewer multiply-adds per input row
+        than the dense path's 3·I·J: the product, the weight gradient and the
+        input gradient.  The input gradient is counted even where the caller
+        will not read it, because the forward pass cannot know and the
+        backward pass must take the path the forward pass took.
+        """
+        w = self.weight
+        if (w.kind not in factorized.SPLIT_KINDS
+                or self.in_features != math.prod(w.row_dims)
+                or self.out_features != math.prod(w.col_dims)):
+            return False
+        shapes = tuple(p.shape for p in weight_points)
+        madds = factorized.split_madds(w.kind, shapes, len(w.row_dims))
+        return madds < 3 * self.in_features * self.out_features
+
+    def _product(self, x, weight_points):
+        kind = self.weight.kind
+        if self.takes_split(weight_points):
+            return factorized.split_forward(kind, weight_points, len(self.weight.row_dims), x)
+        w = factorized.reconstruct(kind, weight_points)
+        w = w.reshape(self.in_features, self.out_features)
+        return x @ w, w
+
+    def _product_grads(self, x, memo, g, weight_points, need_input_grad):
+        kind = self.weight.kind
+        if self.takes_split(weight_points):
+            return factorized.split_backward(
+                kind, weight_points, len(self.weight.row_dims), x, memo, g, need_input_grad
+            )
+        d_w, g_in = _dense_grads(x, memo, g, need_input_grad)
         tensor_grad = d_w.reshape(self.weight.tensor_dims)
-        return factorized.backprop_reconstruction(self.weight.kind, weight_points, tensor_grad)
+        return factorized.backprop_reconstruction(kind, weight_points, tensor_grad), g_in
 
     def state(self):
         """JSON-safe metadata and a dict of named arrays; see :meth:`from_state`."""
@@ -181,11 +219,13 @@ class PlainLinear(_Linear):
     def out_features(self):
         return self.weight.mean.shape[1]
 
-    def _matrix(self, weight_points):
-        return weight_points[0]
+    def _product(self, x, weight_points):
+        w = weight_points[0]
+        return x @ w, w
 
-    def _weight_grads(self, weight_points, d_w):
-        return [d_w]
+    def _product_grads(self, x, w, g, weight_points, need_input_grad):
+        d_w, g_in = _dense_grads(x, w, g, need_input_grad)
+        return [d_w], g_in
 
     def state(self):
         return {"activation": self.activation}, {

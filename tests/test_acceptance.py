@@ -6,6 +6,7 @@ rank-recovery runs dominate the runtime (a few minutes total).
 
 import gzip
 import json
+import math
 import os
 import shutil
 import time
@@ -365,6 +366,74 @@ def test_criterion_5_likelihood_gradients(kind):
         ok,
         f"{kind}: likelihood gradients (mean, std, bias) vs central differences, "
         f"worst rel err {worst:.2e} (need < 1e-5)",
+    )
+    assert ok
+
+
+# The GRAD_CASES layers all take the dense path (CP rank 3 at 6 -> 4 costs
+# R(I+J) = 30 multiply-adds per row against I*J = 24).  These 12 -> 6 and
+# 16 -> 16 layers multiply through their factors instead.
+SPLIT_GRAD_CASES = {
+    "cp": {"row_dims": [3, 4], "col_dims": [2, 3], "max_rank": 3},
+    "tucker": {"row_dims": [4, 4], "col_dims": [4, 4], "max_rank": 2},
+    "tt": {"row_dims": [3, 4], "col_dims": [2, 3], "max_ranks": [2, 2, 2]},
+}
+
+
+@pytest.mark.parametrize("position", ["first", "hidden"])
+@pytest.mark.parametrize("kind", list(SPLIT_GRAD_CASES))
+def test_criterion_5_likelihood_gradients_through_the_split(kind, position):
+    """Criterion 5's check on layers that take the split path, W = L·M·Rᵀ.
+
+    As a hidden layer behind a plain layer, the split layer's input gradient
+    feeds the plain layer's gradients, so those are checked too.
+    """
+    rng = np.random.default_rng(54)
+    cfg = dict(SPLIT_GRAD_CASES[kind])
+    cfg.update({"type": "tensorized_linear", "format": kind, "activation": "identity"})
+    out = math.prod(cfg["col_dims"])
+    layers = [cfg]
+    if position == "hidden":
+        layers = [{"type": "plain_linear", "in_features": 5,
+                   "out_features": math.prod(cfg["row_dims"])}, cfg]
+    net = build_network(layers, classes=out, rng=np.random.default_rng(55))
+    split_layer = net.layers[-1]
+    assert split_layer.takes_split(split_layer.weight.point_means())
+    x = rng.standard_normal((6, net.layers[0].in_features))
+    y = rng.integers(0, out, size=6)
+    state = net.sample(np.random.default_rng(56))
+    _, cache = net.forward(x, sample=state, want_cache=True)
+    grads = net.backward(cache, y)
+
+    def loss():
+        st = [([g.mean + z * g.std for g, z in zip(layer.gaussians(), noises)], noises)
+              for layer, (_, noises) in zip(net.layers, state)]
+        return network.nll_multinomial(net.forward(x, sample=st), y)
+
+    h = 1e-5
+    worst = 0.0
+    for layer, layer_grads in zip(net.layers, grads):
+        for g, (d_mean, d_std) in zip(layer.gaussians(), layer_grads):
+            for arr, grad in ((g.mean, d_mean), (g.std, d_std)):
+                flat = arr.reshape(-1)
+                gf = np.asarray(grad).reshape(-1)
+                for j in range(flat.size):
+                    orig = flat[j]
+                    flat[j] = orig + h
+                    up = loss()
+                    flat[j] = orig - h
+                    down = loss()
+                    flat[j] = orig
+                    numeric = (up - down) / (2 * h)
+                    worst = max(
+                        worst, abs(numeric - gf[j]) / max(abs(numeric), abs(gf[j]), 1e-7)
+                    )
+    ok = worst < 1e-5
+    report_line(
+        "criterion 5",
+        ok,
+        f"{kind} split path, {position} layer: likelihood gradients of every "
+        f"layer vs central differences, worst rel err {worst:.2e} (need < 1e-5)",
     )
     assert ok
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,77 @@ class TestSynthGen:
         rc = cli.main(["synth-gen", "--spec", str(spec_path), "--out",
                        str(tmp_path / "ds")])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("doc", [[1, 2], "synthetic", 3.5, None],
+                             ids=["list", "string", "number", "null"])
+    def test_rejects_non_object_spec(self, tmp_path, capsys, doc):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        rc = cli.main(["synth-gen", "--spec", str(spec_path), "--out",
+                       str(tmp_path / "ds")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(spec_path) in err and "JSON object" in err
+        assert "Traceback" not in err
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def _run_python(code, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_names_resolve_on_every_access():
+    import tensorard
+    from tensorard import factorized
+
+    for name in tensorard.__all__:
+        assert getattr(tensorard, name) is not None
+    assert set(tensorard.__all__) <= set(dir(tensorard))
+    # Never cached in the package, so a swapped submodule function shows.
+    original = factorized.reconstruct
+    try:
+        factorized.reconstruct = len
+        assert tensorard.reconstruct is len
+    finally:
+        factorized.reconstruct = original
+    assert tensorard.reconstruct is original
+    assert "reconstruct" not in vars(tensorard)
+    with pytest.raises(AttributeError):
+        tensorard.no_such_name
+
+
+def test_cli_import_loads_no_numpy(tmp_path):
+    out = _run_python("import sys, tensorard.cli; print('numpy' in sys.modules)", tmp_path)
+    assert out.strip() == "False"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("flags", [["--threads", "1"], ["--deterministic"]])
+def test_thread_flags_leave_one_thread(tmp_path, flags):
+    """After a GEMM the process holds one thread: BLAS started none of its own."""
+    spec = {"data": {"kind": "synthetic", "format": "cp", "row_dims": [4],
+                     "col_dims": [3], "true_rank": 1, "num_samples": 8, "seed": 1}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code = (
+        "import os\n"
+        "from tensorard import cli\n"
+        f"assert cli.main({flags!r} + ['synth-gen', '--spec', 'spec.json', '--out', 'ds']) == 0\n"
+        "import numpy as np\n"
+        "a = np.ones((256, 256))\n"
+        "a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    assert _run_python(code, tmp_path).splitlines()[-1] == "1"
 
 
 def embedding_net(seed=0):

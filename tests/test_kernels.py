@@ -1,10 +1,12 @@
-"""The factor-gradient and TTM embedding kernels against the ones they replaced.
+"""The factor-gradient, TTM embedding and linear-layer kernels against the
+ones they replaced.
 
 The reference functions below are the earlier implementations, kept verbatim:
 one Khatri-Rao product and one unfolding of the full gradient per CP mode,
 d-1 mode products per Tucker mode, and one full-gradient contraction per
 TT core; for TTM embeddings, per-token ``np.einsum`` chains and
-``np.add.at`` scatters.  They call the current ``dense`` primitives and
+``np.add.at`` scatters; for linear layers, the pass that rebuilds W, runs
+the dense GEMMs and maps dW back onto the factors.  They call the current ``dense`` primitives and
 ``network._digit_matrix``, which are checked on their own.  The kernels in
 ``factorized`` and ``network`` sum in another order, so the two must agree
 to 1e-12 relative, not bit for bit.
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from tensorard import dense, factorized, network
-from tensorard.network import _digit_matrix
+from tensorard.network import TensorizedLinear, _digit_matrix
 
 REL_TOL = 1e-12
 
@@ -345,3 +347,164 @@ def test_embedding_kernels_match_reference_on_edge_cases(case):
     row_dims, col_dims, ranks, make_ids = EMBEDDING_CASES[case]
     rng = np.random.default_rng(case)
     check_embedding_kernels(row_dims, col_dims, ranks, make_ids(rng), rng)
+
+
+# -- linear layers through the row|col split --------------------------------------
+
+
+def _matrix(self, weight_points):
+    w = factorized.reconstruct(self.weight.kind, weight_points)
+    return w.reshape(self.in_features, self.out_features)
+
+
+def _weight_grads(self, weight_points, d_w):
+    tensor_grad = d_w.reshape(self.weight.tensor_dims)
+    return factorized.backprop_reconstruction(self.weight.kind, weight_points, tensor_grad)
+
+
+def _linear_forward(self, x, points):
+    """Layer output for a batch of rows, and the entry :meth:`backward` reads."""
+    *weight, bias = points
+    w = _matrix(self, weight)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(
+            f"input of shape {x.shape} does not match layer input "
+            f"size {w.shape[0]}"
+        )
+    pre = x @ w + bias
+    out = np.maximum(pre, 0.0) if self.activation == "relu" else pre
+    return out, (x, w, pre)
+
+
+def _linear_backward(self, entry, g, points, need_input_grad):
+    """Mean-gradients of every Gaussian, and the input gradient (or None)."""
+    x, w, pre = entry
+    if self.activation == "relu":
+        g = g * (pre > 0)
+    d_w = x.T @ g
+    d_b = g.sum(axis=0)
+    g_in = g @ w.T if need_input_grad else None
+    return [*_weight_grads(self, points[:-1], d_w), d_b], g_in
+
+
+def linear_layer(kind, row_dims, col_dims, ranks, activation, rng):
+    cfg = {"format": kind, "row_dims": row_dims, "col_dims": col_dims,
+           "max_ranks": ranks, "activation": activation}
+    return TensorizedLinear.from_config(cfg, rng, 0.05)
+
+
+def check_split_layer(layer, batch, rng):
+    """One pass through the split agrees with the dense reference pass."""
+    points = [rng.standard_normal(g.shape) for g in layer.gaussians()]
+    x = rng.standard_normal((batch, layer.in_features))
+    g = rng.standard_normal((batch, layer.out_features))
+    want_out, want_entry = _linear_forward(layer, x, points)
+    want, want_in = _linear_backward(layer, want_entry, g, points, True)
+    got_out, entry = layer.forward(x, points)
+    assert_close(got_out, want_out)
+    got, got_in = layer.backward(entry, g, points, True)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_close(a, b)
+    assert_close(got_in, want_in)
+    got_again, no_in = layer.backward(entry, g, points, False)
+    assert no_in is None
+    for a, b in zip(got_again, got):
+        np.testing.assert_array_equal(a, b)
+
+
+def random_split_case(kind, rng):
+    """1-3 row and 1-3 column modes of size 1..5, ranks in 1..7."""
+    row_dims = [int(x) for x in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+    col_dims = [int(x) for x in rng.integers(1, 6, size=int(rng.integers(1, 4)))]
+    d = len(row_dims) + len(col_dims)
+    count = {"cp": 1, "tucker": d, "tt": d - 1}[kind]
+    ranks = [int(x) for x in rng.integers(1, 8, size=count)]
+    return row_dims, col_dims, ranks
+
+
+@pytest.fixture
+def always_split(monkeypatch):
+    """Send every CP, Tucker and TT layer through the split, whatever it costs."""
+    monkeypatch.setattr(TensorizedLinear, "takes_split", lambda self, points: True)
+
+
+@pytest.mark.parametrize("kind", ["cp", "tucker", "tt"])
+def test_split_matches_dense_pass_on_random_cases(kind, always_split):
+    rng = np.random.default_rng([len(kind), 23])
+    for _ in range(40):
+        row_dims, col_dims, ranks = random_split_case(kind, rng)
+        activation = ["relu", "identity"][int(rng.integers(2))]
+        layer = linear_layer(kind, row_dims, col_dims, ranks, activation, rng)
+        check_split_layer(layer, int(rng.integers(1, 10)), rng)
+
+
+# (kind, row_dims, col_dims, ranks, batch): every rank or bond 1, every mode
+# of size 1, one-mode sides, ranks far above the mode sizes, batch 1.
+SPLIT_EDGE_CASES = [
+    ("cp", [1, 1], [1], [3], 4),
+    ("cp", [5], [4], [1], 1),
+    ("cp", [2, 3, 2], [3, 1, 2], [9], 3),
+    ("tucker", [1], [1], [1, 1], 1),
+    ("tucker", [4], [3], [2, 5], 5),
+    ("tucker", [2, 1, 3], [1, 2, 2], [1, 1, 1, 1, 1, 1], 2),
+    ("tucker", [3, 2], [2, 3, 2], [5, 4, 6, 1, 3], 1),
+    ("tt", [1], [1], [1], 1),
+    ("tt", [4], [3], [1], 6),
+    ("tt", [2, 3, 1], [1, 2, 3], [1, 1, 1, 1, 1], 2),
+    ("tt", [3, 2], [2, 4], [6, 9, 5], 1),
+]
+
+
+@pytest.mark.parametrize("kind,row_dims,col_dims,ranks,batch", SPLIT_EDGE_CASES)
+def test_split_matches_dense_pass_on_edge_cases(kind, row_dims, col_dims, ranks, batch,
+                                                always_split):
+    rng = np.random.default_rng(batch)
+    layer = linear_layer(kind, row_dims, col_dims, ranks, "relu", rng)
+    check_split_layer(layer, batch, rng)
+
+
+@pytest.mark.parametrize("kind,rank", [("cp", 50), ("tucker", 12), ("tt", 20)])
+def test_wide_layers_take_the_split_and_match_the_dense_pass(kind, rank):
+    rng = np.random.default_rng(rank)
+    layer = linear_layer(kind, [28, 28], [16, 32], rank, "relu", rng)
+    assert layer.takes_split(layer.weight.point_means())
+    check_split_layer(layer, 8, rng)
+
+
+def _takes_split(cfg):
+    layer = TensorizedLinear.from_config(cfg, np.random.default_rng(0), 0.05)
+    return layer.takes_split(layer.weight.point_means())
+
+
+def _cfg(kind, row_dims, col_dims, rank, in_out=None):
+    cfg = {"format": kind, "row_dims": row_dims, "col_dims": col_dims, "max_rank": rank}
+    if in_out:
+        cfg["in_features"], cfg["out_features"] = in_out
+    return cfg
+
+
+@pytest.mark.parametrize("cfg,split", [
+    # 784 -> 512 layers of the wide nets
+    (_cfg("cp", [28, 28], [16, 32], 50), True),
+    (_cfg("tucker", [28, 28], [16, 32], 12), True),
+    (_cfg("tt", [28, 28], [16, 32], 20), True),
+    (_cfg("ttm", [4, 7, 4, 7], [4, 4, 8, 4], 20), False),
+    # 512 -> 10 heads of the wide nets
+    (_cfg("cp", [32, 16], [10], 50), False),
+    (_cfg("tucker", [32, 16], [10], 12), False),
+    (_cfg("tt", [32, 16], [10], 20), False),
+    (_cfg("ttm", [32, 16], [2, 5], 20), False),
+    # the criterion-1 784 -> 10 configs
+    (_cfg("cp", [28, 28], [10], 10), False),
+    (_cfg("tucker", [28, 28], [10], 10), False),
+    (_cfg("tt", [28, 28], [10], 10), False),
+    (_cfg("ttm", [4, 7, 4], [7, 2, 5], 10, (784, 10)), False),
+    # in/out overrides fold the weight across the row|col boundary
+    (_cfg("cp", [28, 28], [16, 32], 50, (1568, 256)), False),
+    (_cfg("tucker", [28, 28], [16, 32], 12, (392, 1024)), False),
+    (_cfg("tt", [28, 28], [16, 32], 20, (1568, 256)), False),
+])
+def test_path_choice_on_fixed_shapes(cfg, split):
+    assert _takes_split(cfg) == split

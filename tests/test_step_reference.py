@@ -5,8 +5,14 @@ The reference below is the earlier step, kept verbatim: ``LayerSample`` and
 ``kl_gradients`` and ``training._step_network`` with one branch per layer
 type (written here as functions of the network).  The current code runs one
 loop over each layer's list of Gaussians.  Both draw the same noise in the
-same order and apply the same arithmetic to each entry, so after k steps
-every mean, std and rank variance must agree bit for bit.
+same order, so after k steps both generators must be in the same state.
+
+Where the current step builds W as the reference does, it applies the same
+arithmetic to each entry, and every mean, std and rank variance must agree
+bit for bit.  The CP and TT ``tensorized_linear`` layers here (12 -> 6 at
+rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
+another order; for those four cases the arrays must agree to 1e-12
+relative.
 """
 
 import copy
@@ -29,6 +35,9 @@ from tensorard.network import (
     softmax,
 )
 from tensorard.training import _apply_update
+
+# Relative tolerance for the cases whose current step takes the split path.
+SPLIT_REL_TOL = 1e-12
 
 # -- reference step -----------------------------------------------------------
 
@@ -306,10 +315,18 @@ def test_steps_match_the_per_type_step_bitwise(kind, first, prior):
         hyper = (0.05, 16, beta, 0.8, prior, 0.2)
         reference_step(ref, x, y, rng_ref, *hyper)
         current_step(cur, x, y, rng_cur, *hyper)
+    split = first == "tensorized_linear" and kind in ("cp", "tt")
+    weight = cur.layers[0].weight if first == "tensorized_linear" else None
+    assert split == (weight is not None and cur.layers[0].takes_split(weight.point_means()))
     got, want = _arrays(cur), _arrays(ref)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.isfinite(a).all() and a.tobytes() == b.tobytes()
+        assert np.isfinite(a).all()
+        if split:
+            scale = max(float(np.max(np.abs(b))), 1e-300)
+            assert float(np.max(np.abs(a - b))) <= SPLIT_REL_TOL * scale
+        else:
+            assert a.tobytes() == b.tobytes()
     # Both generators were advanced by the same draws.
     assert rng_ref.bit_generator.state == rng_cur.bit_generator.state
