@@ -142,7 +142,7 @@ def gen_synthetic(
         out_features = total // in_features
     if in_features * out_features != total:
         raise ValueError("in/out features do not factor the folded buffer")
-    _check_true_ranks(kind, row_dims, col_dims, true_ranks)
+    factorized.FORMATS[kind].check_rank_caps(row_dims, col_dims, true_ranks)
 
     rng = np.random.default_rng(seed)
     teacher_weight = factorized.init_layer(
@@ -180,33 +180,6 @@ def gen_synthetic(
         u = rng.random((num_samples, 1))
         labels = (u > cum).sum(axis=1)
     return LabeledDataset(inputs, labels.astype(np.int64), out_features), teacher
-
-
-def _check_true_ranks(kind, row_dims, col_dims, true_ranks):
-    dims = list(row_dims) + list(col_dims)
-    if kind == "cp":
-        r = true_ranks if np.isscalar(true_ranks) else list(true_ranks)[0]
-        if r > min(dims):
-            raise ValueError(f"CP rank {r} exceeds the smallest mode size {min(dims)}")
-        return
-    if kind == "tucker":
-        ranks = [true_ranks] * len(dims) if np.isscalar(true_ranks) else list(true_ranks)
-        for r, d in zip(ranks, dims):
-            if r > d:
-                raise ValueError(f"Tucker rank {r} exceeds mode size {d}")
-        return
-    # TT/TTM bond ranks are capped by the unfolding sizes on either side.
-    if kind == "ttm":
-        sizes = [r * c for r, c in zip(row_dims, col_dims)]
-    else:
-        sizes = dims
-    interior = (
-        [true_ranks] * (len(sizes) - 1) if np.isscalar(true_ranks) else list(true_ranks)
-    )
-    for n, r in enumerate(interior):
-        cap = min(math.prod(sizes[: n + 1]), math.prod(sizes[n + 1 :]))
-        if r > cap:
-            raise ValueError(f"bond rank {r} exceeds the structural cap {cap}")
 
 
 def batches(dataset: LabeledDataset, batch_size: int, epoch_seed):

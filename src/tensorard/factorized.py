@@ -3,6 +3,12 @@
 A :class:`FactorizedLayer` stores one weight's factor set, each factor as a
 pair of (mean, std) arrays, plus the per-rank prior variances that drive
 automatic rank determination.
+
+``FORMATS`` maps each format kind to one object that states all the format's
+own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
+rank caps, the row|col split of a linear product and the embedding row
+lookup.  TTM is TT over merged (I_n·J_n) modes plus one transpose, so its
+class extends TT's.  No caller tests a format's name.
 """
 
 from __future__ import annotations
@@ -33,13 +39,8 @@ __all__ = [
     "init_layer",
     "layer_state",
     "layer_from_state",
-    "SPLIT_KINDS",
-    "split_madds",
-    "split_forward",
-    "split_backward",
+    "FORMATS",
 ]
-
-KINDS = ("cp", "tucker", "tt", "ttm")
 
 # Smallest stddev the trainer keeps; the -1/sigma gradient diverges at 0.
 SIGMA_FLOOR = 1e-6
@@ -83,20 +84,15 @@ class FactorizedLayer:
     Parameters
     ----------
     kind : str
-        One of ``"cp"``, ``"tucker"``, ``"tt"``, ``"ttm"``.
+        A key of :data:`FORMATS`, whose entry describes the layout.
     factors : list of GaussianFactor
-        CP: d matrices (I_n, R).  Tucker: d matrices (I_n, R_n) followed by
-        the core (R_1..R_d).  TT: d cores (R_{n-1}, I_n, R_n) with boundary
-        ranks 1.  TTM: d cores (R_{n-1}, I_n, J_n, R_n).
+        The format's factors, in its storage order.
     rank_variances : list of 1-d arrays
-        Per-rank prior variances.  CP has a single vector of length R,
-        Tucker one vector per mode, TT/TTM one vector per interior bond
-        (the last bond vector is shared by the last two cores).
-        :func:`_rank_axes` lists the factor slices each vector governs.
+        Per-rank prior variances; the format's ``rank_axes`` lists the
+        factor slices each vector governs.
     row_dims, col_dims : lists of int
         Folding metadata.  The layer represents a flat buffer of
-        prod(row_dims)*prod(col_dims) entries; for TTM the two lists must
-        have equal length d and pair up with the cores.
+        prod(row_dims)*prod(col_dims) entries.
     max_ranks : int or list of int
         The ranks the layer was initialized with (pruning only shrinks the
         current ranks, never this record).
@@ -110,8 +106,7 @@ class FactorizedLayer:
     max_ranks: object = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown format kind {self.kind!r}")
+        FORMATS[self.kind]  # an unknown kind raises ValueError
         self.row_dims = [int(d) for d in self.row_dims]
         self.col_dims = [int(d) for d in self.col_dims]
         self.factors = list(self.factors)
@@ -134,20 +129,19 @@ class FactorizedLayer:
         return tuple(self.row_dims) + tuple(self.col_dims)
 
     @property
+    def format(self):
+        """The layer's entry of :data:`FORMATS`."""
+        return FORMATS[self.kind]
+
+    @property
     def order(self) -> int:
         """Number of cores / factor matrices (excluding the Tucker core)."""
-        if self.kind == "ttm":
-            return len(self.row_dims)
-        return len(self.row_dims) + len(self.col_dims)
+        return self.format.order(self.row_dims, self.col_dims)
 
     @property
     def ranks(self):
         """Current ranks: int for CP, per-mode tuple for Tucker, interior bond tuple for TT/TTM."""
-        if self.kind == "cp":
-            return self.factors[0].shape[1]
-        if self.kind == "tucker":
-            return tuple(f.shape[1] for f in self.factors[:-1])
-        return tuple(f.shape[-1] for f in self.factors[:-1])
+        return self.format.ranks(self.factors)
 
     def point_means(self) -> list:
         return [f.mean for f in self.factors]
@@ -163,19 +157,10 @@ class FactorizedLayer:
         )
 
     def _validate_shapes(self):
-        if self.kind == "ttm" and len(self.row_dims) != len(self.col_dims):
-            raise ValueError("TTM needs equal-length row and column dims")
-        d = self.order
-        if self.kind in ("tt", "ttm") and d < 2:
-            raise ValueError(f"{self.kind} needs at least 2 cores")
-        count = len(_rank_axes(self.kind, d))
-        if len(self.rank_variances) != count:
-            raise ValueError(
-                f"{self.kind} needs {count} rank-variance vectors, "
-                f"got {len(self.rank_variances)}"
-            )
-        ranks = _normalize_ranks(self.kind, d, [v.size for v in self.rank_variances])
-        want = _factor_shapes(self.kind, self.row_dims, self.col_dims, ranks)
+        fmt = self.format
+        fmt.check_dims(self.row_dims, self.col_dims)
+        ranks = fmt.normalize_ranks(self.order, [v.size for v in self.rank_variances])
+        want = fmt.factor_shapes(self.row_dims, self.col_dims, ranks)
         got = [f.shape for f in self.factors]
         if got != want:
             raise ValueError(
@@ -184,21 +169,453 @@ class FactorizedLayer:
             )
 
 
-# -- reconstruction ---------------------------------------------------------
+# -- reconstruction and its backprop ------------------------------------------
 
 
 def reconstruct(kind: str, factors) -> np.ndarray:
     """Materialize the full weight tensor from point-valued factors."""
+    return FORMATS[kind].full([np.asarray(f, dtype=np.float64) for f in factors])
+
+
+def backprop_reconstruction(kind: str, factors, grad) -> list:
+    """Exact gradients of a scalar loss w.r.t. every factor entry.
+
+    ``grad`` holds the loss gradient w.r.t. the full tensor; the result is a
+    list of arrays, one per factor, in the layer's factor order.  Each format
+    passes over ``grad`` a fixed number of times; its ``backprop`` says how.
+    """
+    fmt = FORMATS[kind]
     factors = [np.asarray(f, dtype=np.float64) for f in factors]
-    if kind == "cp":
-        return _cp_full(factors)
-    if kind == "tucker":
-        return _tucker_full(factors)
-    if kind == "tt":
-        return _tt_full(factors)
-    if kind == "ttm":
-        return _ttm_full(factors)
-    raise ValueError(f"unknown format kind {kind!r}")
+    grad = np.asarray(grad, dtype=np.float64)
+    want = fmt.shape(factors)
+    if grad.shape != want:
+        raise ValueError(f"gradient shape {grad.shape} != tensor shape {want}")
+    return fmt.backprop(factors, grad)
+
+
+def reconstruct_shape(kind: str, factors) -> tuple:
+    return FORMATS[kind].shape(factors)
+
+
+# -- the format table -----------------------------------------------------------
+#
+# A weight folded as (row modes, col modes) splits at that boundary into
+# W = L·M·Rᵀ for CP, Tucker and TT, so a batch x of rows multiplies as
+# ((x·L)·M)·Rᵀ and neither W nor its gradient is formed.  With g the output
+# gradient, the backward pass needs dL = xᵀ(g·R·Mᵀ), dR = gᵀ(x·L·M),
+# dM = (x·L)ᵀ(g·R) and the input gradient g·R·Mᵀ·Lᵀ; each format maps dL and
+# dR onto its factors.  TTM interleaves row and column modes in every core and
+# has no such split.
+
+
+class _Format:
+    """The rules most formats share; each subclass states its own formulas:
+    ``factor_shapes``, ``ranks``, ``rank_axes``, ``rank_caps``, ``full``,
+    ``shape``, ``backprop`` and the split (``_split_madds``,
+    ``split_forward``, ``split_backward``).  ``rank_axes(order)`` lists each
+    rank-variance vector's (factor, axis, is_prior) triples: pruning rank r
+    removes index r along ``axis`` of each factor, and where ``is_prior``
+    holds the rank variance is also those entries' prior variance.  Rank
+    arguments are normalized: an int for CP, else one int per vector.
+    """
+
+    name = ""
+
+    def order(self, row_dims, col_dims) -> int:
+        return len(row_dims) + len(col_dims)
+
+    def check_dims(self, row_dims, col_dims):
+        """Raise ValueError for dims the format cannot fold."""
+
+    def normalize_ranks(self, order, ranks):
+        """One int per rank-variance vector; a scalar fills every entry."""
+        count = len(self.rank_axes(order))
+        if np.isscalar(ranks):
+            return [int(ranks)] * count
+        ranks = [int(r) for r in ranks]
+        if len(ranks) != count:
+            raise ValueError(f"{self.name} needs {count} rank entries, got {len(ranks)}")
+        return ranks
+
+    def rank_list(self, ranks) -> list:
+        """Normalized ``ranks`` as a list, one entry per rank-variance vector."""
+        return list(ranks)
+
+    def report(self, counts):
+        """The inferred ranks, from the surviving count of each vector."""
+        return tuple(counts)
+
+    def check_rank_caps(self, row_dims, col_dims, ranks):
+        """Raise ValueError unless every rank entry fits its structural cap."""
+        ranks = self.rank_list(self.normalize_ranks(self.order(row_dims, col_dims), ranks))
+        for r, cap in zip(ranks, self.rank_caps(row_dims, col_dims)):
+            if r > cap:
+                raise ValueError(f"{self.name} rank {r} exceeds the structural cap {cap}")
+
+    @functools.lru_cache(maxsize=None)
+    def split_madds(self, shapes: tuple, n_row: int, order: int):
+        """Multiply-adds per input row of one training step through the split
+        after the first ``n_row`` of ``order`` modes, or inf: each side needs
+        a mode.  ``shapes`` are the factor shapes.  The count covers the
+        product, the weight gradients and the input gradient, not the
+        batch-independent work of building L and R and mapping dL and dR."""
+        if not 0 < n_row < order:
+            return math.inf
+        return self._split_madds(shapes, n_row)
+
+    def lookup_rows(self, table, points, idx):
+        """Rows ``idx`` of the table ``points`` build, from the whole table."""
+        full = reconstruct(table.kind, points)
+        return full.reshape(math.prod(table.row_dims), math.prod(table.col_dims))[idx]
+
+    def backprop_rows(self, table, points, idx, row_grads):
+        """Factor gradients from those of rows ``idx``, through the whole table."""
+        table_grad = np.zeros((math.prod(table.row_dims), math.prod(table.col_dims)))
+        np.add.at(table_grad, idx, row_grads)
+        tensor_grad = table_grad.reshape(table.tensor_dims)
+        return backprop_reconstruction(table.kind, points, tensor_grad)
+
+
+class _CP(_Format):
+    """d matrices (I_n, R) and one rank-variance vector of length R.
+
+    Split: L and R are the Khatri-Rao products of the row and the column
+    factors; M = I.
+    """
+
+    name = "cp"
+
+    def normalize_ranks(self, order, ranks):
+        (rank,) = super().normalize_ranks(order, ranks)
+        return rank
+
+    def rank_list(self, ranks):
+        return [ranks]
+
+    def factor_shapes(self, row_dims, col_dims, ranks):
+        return [(n, ranks) for n in [*row_dims, *col_dims]]
+
+    def ranks(self, factors):
+        return factors[0].shape[1]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def rank_axes(order):
+        return (tuple((n, 1, True) for n in range(order)),)
+
+    def report(self, counts):
+        return counts[0]
+
+    def rank_caps(self, row_dims, col_dims):
+        return [min([*row_dims, *col_dims])]
+
+    def full(self, mats):
+        dims = [m.shape[0] for m in mats]
+        if len(mats) == 1:
+            return mats[0].sum(axis=1)
+        s = _split(dims)
+        left = dense.khatri_rao(mats[:s])
+        right = dense.khatri_rao(mats[s:])
+        return (left @ right.T).reshape(dims)
+
+    def shape(self, mats):
+        return tuple(f.shape[0] for f in mats)
+
+    def backprop(self, mats, grad):
+        """One GEMM per side of the modes' split, ``G @ KR(right)`` and
+        ``G.T @ KR(left)`` (``KR`` the Khatri-Rao product), gives each side's
+        partial MTTKRP; a Hadamard contraction within the side finishes each
+        mode (a two-leaf MTTKRP dimension tree)."""
+        d = len(mats)
+        dims = [m.shape[0] for m in mats]
+        if d == 1:
+            return [np.repeat(grad.reshape(-1, 1), mats[0].shape[1], axis=1)]
+        s = _split(dims)
+        g = grad.reshape(math.prod(dims[:s]), -1)
+        left = _cp_side(mats[:s], g @ dense.khatri_rao(mats[s:]))
+        right = _cp_side(mats[s:], g.T @ dense.khatri_rao(mats[:s]))
+        return left + right
+
+    def _split_madds(self, shapes, n_row):
+        rows = math.prod(s[0] for s in shapes[:n_row])
+        cols = math.prod(s[0] for s in shapes[n_row:])
+        # forward x·L, ·Rᵀ; g·R, dL, dR; input gradient (g·R)·Lᵀ
+        return 3 * shapes[0][1] * (rows + cols)
+
+    def split_forward(self, mats, n_row, x):
+        left = dense.khatri_rao(mats[:n_row])
+        right = dense.khatri_rao(mats[n_row:])
+        xl = x @ left
+        return xl @ right.T, (left, right, xl)
+
+    def split_backward(self, mats, n_row, x, memo, g, need_input_grad):
+        left, right, xl = memo
+        gr = g @ right
+        grads = _cp_side(mats[:n_row], x.T @ gr) + _cp_side(mats[n_row:], g.T @ xl)
+        return grads, gr @ left.T if need_input_grad else None
+
+
+class _Tucker(_Format):
+    """d matrices (I_n, R_n) followed by the core (R_1..R_d); one rank-variance
+    vector per mode, which also prunes the core along that mode.
+
+    Split: L and R are the Kronecker products of the row and the column
+    factor matrices, applied mode by mode and never formed; M is the core
+    matricized at the boundary.  A batch axis leads every intermediate.
+    """
+
+    name = "tucker"
+
+    def factor_shapes(self, row_dims, col_dims, ranks):
+        dims = [*row_dims, *col_dims]
+        return [(n, r) for n, r in zip(dims, ranks)] + [tuple(ranks)]
+
+    def ranks(self, factors):
+        return tuple(f.shape[1] for f in factors[:-1])
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def rank_axes(order):
+        return tuple(((n, 1, True), (order, n, False)) for n in range(order))
+
+    def rank_caps(self, row_dims, col_dims):
+        return [*row_dims, *col_dims]
+
+    def full(self, factors):
+        core, mats = factors[-1], factors[:-1]
+        out = core
+        for n, u in enumerate(mats):
+            out = dense.mode_n_product(out, u, n)
+        return out
+
+    def shape(self, factors):
+        return tuple(f.shape[0] for f in factors[:-1])
+
+    def backprop(self, factors, grad):
+        """With the modes split as for CP, the core gradient and every factor
+        gradient are contracted from two shared partial projections of G."""
+        core, mats = factors[-1], factors[:-1]
+        d = len(mats)
+        s = _split([m.shape[0] for m in mats])
+        # Project G once onto each side's factors: the left partial keeps the
+        # left modes at full size and the right modes at rank size, and the
+        # right partial the other way round.
+        left = _project(grad, mats, range(s, d))
+        right = _project(grad, mats, range(s))
+        mat_grads = []
+        for n in range(d):
+            side = range(s) if n < s else range(s, d)
+            partial = _project(left if n < s else right, mats, [m for m in side if m != n])
+            others = [m for m in range(d) if m != n]
+            mat_grads.append(np.tensordot(partial, core, axes=(others, others)))
+        core_grad = _project(left, mats, range(s))
+        return mat_grads + [core_grad]
+
+    def _split_madds(self, shapes, n_row):
+        dims = [s[0] for s in shapes[:-1]]
+        ranks = list(shapes[-1])
+        row_i, col_j = dims[:n_row], dims[n_row:]
+        row_r, col_r = ranks[:n_row], ranks[n_row:]
+        core = math.prod(ranks)
+        return (
+            _chain_madds(row_i, row_r) + core + _chain_madds(col_r, col_j)  # forward
+            + _chain_madds(col_j, col_r) + 2 * core  # g·R, dM, (g·R)·Mᵀ
+            + _side_madds(row_i, row_r) + _side_madds(col_j, col_r)  # dL, dR
+            + _chain_madds(row_r, row_i)  # input gradient
+        )
+
+    def split_forward(self, factors, n_row, x):
+        core, mats = factors[-1], factors[:-1]
+        batch = x.shape[0]
+        rows, cols = mats[:n_row], mats[n_row:]
+        x_part, xl = _batched_project(x.reshape(batch, *(u.shape[0] for u in rows)), rows)
+        xlm = xl.reshape(batch, -1) @ core.reshape(xl[0].size, -1)
+        xlm = xlm.reshape(batch, *(u.shape[1] for u in cols))
+        out = _batched_chain(xlm, cols, False, range(len(cols)))
+        return out.reshape(batch, -1), (x_part, xl, xlm)
+
+    def split_backward(self, factors, n_row, x, memo, g, need_input_grad):
+        core, mats = factors[-1], factors[:-1]
+        x_part, xl, xlm = memo
+        batch = x.shape[0]
+        rows, cols = mats[:n_row], mats[n_row:]
+        g = g.reshape(batch, *(u.shape[0] for u in cols))
+        g_part, gr = _batched_project(g, cols)
+        gr = gr.reshape(batch, -1)
+        m = core.reshape(xl[0].size, gr.shape[1])
+        core_grad = (xl.reshape(batch, -1).T @ gr).reshape(core.shape)
+        grm = (gr @ m.T).reshape(xl.shape)
+        x = x.reshape(batch, *(u.shape[0] for u in rows))
+        grads = _tucker_side(x, rows, grm, x_part) + _tucker_side(g, cols, xlm, g_part)
+        g_in = None
+        if need_input_grad:
+            g_in = _batched_chain(grm, rows, False, range(n_row)).reshape(batch, -1)
+        return grads + [core_grad], g_in
+
+
+class _TT(_Format):
+    """d cores (R_{n-1}, I_n, R_n) with boundary ranks 1; one rank-variance
+    vector per interior bond, the last shared by the last two cores.
+
+    Split: L contracts the row cores into an I x r_b matrix and R the column
+    cores into an r_b x J one, r_b being the bond at the boundary; M = I.
+    """
+
+    name = "tt"
+
+    def check_dims(self, row_dims, col_dims):
+        if self.order(row_dims, col_dims) < 2:
+            raise ValueError(f"{self.name} needs at least 2 cores")
+
+    def _modes(self, row_dims, col_dims):
+        """Each core's mode sizes, between its two bonds."""
+        return [(n,) for n in [*row_dims, *col_dims]]
+
+    def factor_shapes(self, row_dims, col_dims, ranks):
+        bonds = [1, *ranks, 1]
+        modes = self._modes(row_dims, col_dims)
+        return [(bonds[n], *m, bonds[n + 1]) for n, m in enumerate(modes)]
+
+    def ranks(self, factors):
+        return tuple(f.shape[-1] for f in factors[:-1])
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def rank_axes(order):
+        return tuple(((i, -1, True), (i + 1, 0, i == order - 2)) for i in range(order - 1))
+
+    def report(self, counts):
+        return (1, *counts, 1)
+
+    def rank_caps(self, row_dims, col_dims):
+        # a bond is capped by the unfolding sizes on either side of it
+        sizes = [math.prod(m) for m in self._modes(row_dims, col_dims)]
+        return [min(math.prod(sizes[:n]), math.prod(sizes[n:])) for n in range(1, len(sizes))]
+
+    def full(self, cores):
+        out = cores[0][0]
+        for core in cores[1:]:
+            out = np.tensordot(out, core, axes=([-1], [0]))
+        return out[..., 0]
+
+    def shape(self, cores):
+        return tuple(f.shape[1] for f in cores)
+
+    def backprop(self, cores, grad):
+        """One left-to-right sweep: the running contraction of G with the
+        leading cores times the right environment of the trailing cores gives
+        each core's gradient.  The environments are built once from the cores."""
+        d = len(cores)
+        # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
+        rights = [None] * (d + 1)
+        rights[d] = np.ones((1, 1))
+        for i in range(d - 1, 0, -1):
+            r0, n, r1 = cores[i].shape
+            rights[i] = (cores[i].reshape(r0 * n, r1) @ rights[i + 1]).reshape(r0, -1)
+        # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
+        # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
+        grads = []
+        acc = grad.reshape(1, -1)
+        for i, core in enumerate(cores):
+            r0, n, r1 = core.shape
+            acc = acc.reshape(r0 * n, -1)
+            grads.append((acc @ rights[i + 1].T).reshape(core.shape))
+            if i < d - 1:
+                acc = core.reshape(r0 * n, r1).T @ acc
+        return grads
+
+    def _split_madds(self, shapes, n_row):
+        rows = math.prod(s[1] for s in shapes[:n_row])
+        cols = math.prod(s[1] for s in shapes[n_row:])
+        return 3 * shapes[n_row][0] * (rows + cols)  # as for CP at rank r_b
+
+    def split_forward(self, cores, n_row, x):
+        left = cores[0].reshape(cores[0].shape[1], -1)  # r_0 = 1
+        for core in cores[1:n_row]:
+            r0, n, r1 = core.shape
+            left = (left @ core.reshape(r0, n * r1)).reshape(-1, r1)
+        right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
+        for core in reversed(cores[n_row:-1]):
+            r0, n, r1 = core.shape
+            right = (core.reshape(r0 * n, r1) @ right).reshape(r0, -1)
+        xl = x @ left
+        return xl @ right, (left, right, xl)
+
+    def split_backward(self, cores, n_row, x, memo, g, need_input_grad):
+        left, right, xl = memo
+        gr = g @ right.T
+        # Each side is a TT closed by an identity core on the boundary bond,
+        # so the TT sweep maps dL and dR onto the side's cores.
+        eye = np.eye(left.shape[1])
+        rows = self.backprop([*cores[:n_row], eye[:, :, None]], x.T @ gr)[:-1]
+        cols = self.backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
+        return rows + cols, gr @ left.T if need_input_grad else None
+
+
+class _TTM(_TT):
+    """d cores (R_{n-1}, I_n, J_n, R_n): the TT of the merged (I_n·J_n) modes,
+    whose full tensor is transposed from paired (I_0, J_0, I_1, ...) to
+    (rows..., cols...) order.  Row and column modes share every core, so no
+    row|col boundary falls between two cores (``n_row`` equals the order)
+    and the split rule never splits.  An embedding builds only its rows."""
+
+    name = "ttm"
+
+    def order(self, row_dims, col_dims):
+        return len(row_dims)
+
+    def check_dims(self, row_dims, col_dims):
+        if len(row_dims) != len(col_dims):
+            raise ValueError("TTM needs equal-length row and column dims")
+        super().check_dims(row_dims, col_dims)
+
+    def _modes(self, row_dims, col_dims):
+        return list(zip(row_dims, col_dims))
+
+    def full(self, cores):
+        merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
+        out = super().full(merged)
+        d = len(cores)
+        paired = out.reshape([s for c in cores for s in c.shape[1:3]])
+        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+        return np.ascontiguousarray(paired.transpose(perm))
+
+    def shape(self, cores):
+        return tuple(f.shape[1] for f in cores) + tuple(f.shape[2] for f in cores)
+
+    def backprop(self, cores, grad):
+        d = len(cores)
+        # Undo the (rows..., cols...) layout back to interleaved pairs, then
+        # reuse the TT path with (I_n, J_n) merged into one mode per core.
+        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+        inv = np.argsort(perm)
+        paired = grad.transpose(inv)
+        merged_grad = paired.reshape([c.shape[1] * c.shape[2] for c in cores])
+        merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
+        merged_grads = super().backprop(merged, merged_grad)
+        return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
+
+    def lookup_rows(self, table, points, idx):
+        unique, inverse = np.unique(idx, return_inverse=True)
+        digits = _digit_matrix(unique, table.row_dims)
+        rows = _ttm_rows(points, digits).reshape(unique.size, math.prod(table.col_dims))
+        return rows[inverse]
+
+    def backprop_rows(self, table, points, idx, row_grads):
+        return _ttm_embedding_backprop(points, idx, row_grads, table.row_dims)
+
+
+class _Formats(dict):
+    def __missing__(self, kind):
+        raise ValueError(f"unknown format kind {kind!r}")
+
+
+# Every format, keyed by its ``kind`` string; an unknown kind raises ValueError.
+FORMATS = _Formats((f.name, f) for f in (_CP(), _Tucker(), _TT(), _TTM()))
+KINDS = tuple(FORMATS)
+
+
+# -- kernel helpers -----------------------------------------------------------
 
 
 def _split(dims) -> int:
@@ -211,109 +628,6 @@ def _split(dims) -> int:
         range(1, max(len(dims), 2)),
         key=lambda s: max(math.prod(dims[:s]), math.prod(dims[s:])),
     )
-
-
-def _cp_full(mats):
-    dims = [m.shape[0] for m in mats]
-    if len(mats) == 1:
-        return mats[0].sum(axis=1)
-    s = _split(dims)
-    left = dense.khatri_rao(mats[:s])
-    right = dense.khatri_rao(mats[s:])
-    return (left @ right.T).reshape(dims)
-
-
-def _tucker_full(factors):
-    core, mats = factors[-1], factors[:-1]
-    out = core
-    for n, u in enumerate(mats):
-        out = dense.mode_n_product(out, u, n)
-    return out
-
-
-def _tt_full(cores):
-    out = cores[0][0]
-    for core in cores[1:]:
-        out = np.tensordot(out, core, axes=([-1], [0]))
-    return out[..., 0]
-
-
-def _ttm_full(cores):
-    merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
-    out = _tt_full(merged)
-    d = len(cores)
-    paired = out.reshape([s for c in cores for s in c.shape[1:3]])
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    return np.ascontiguousarray(paired.transpose(perm))
-
-
-# -- backpropagation through reconstruction ---------------------------------
-
-
-def backprop_reconstruction(kind: str, factors, grad) -> list:
-    """Exact gradients of a scalar loss w.r.t. every factor entry.
-
-    ``grad`` holds the loss gradient w.r.t. the full tensor; the result is a
-    list of arrays, one per factor, in the layer's factor order.  Each format
-    passes over the full ``grad`` only a fixed number of times:
-
-    - CP: the modes split into a left and a right side of near-equal size
-      products.  One GEMM per side, ``G @ KR(right)`` and
-      ``G.T @ KR(left)`` with ``G`` the (left, right) matricization and
-      ``KR`` the Khatri-Rao product, gives each side's partial MTTKRP; a
-      small Hadamard contraction within the side finishes each mode
-      (a two-leaf MTTKRP dimension tree).
-    - Tucker: with the same split, ``G`` is projected once onto the
-      right-side factors and once onto the left-side factors.  The core
-      gradient and every factor gradient are contracted from those two
-      shared partials.
-    - TT: one left-to-right sweep.  At core i the running contraction of
-      ``G`` with cores 0..i-1, reshaped to ``(r_i * I_i, I_{i+1}...)``,
-      times the right environment of cores i+1.. gives the core's gradient,
-      and the core's transpose times it gives the next contraction.  The
-      right environments are built once from the cores; every step is a
-      plain GEMM on reshapes.
-    - TTM: one transpose of ``G`` into the paired (I_n, J_n) layout, then
-      the TT sweep with each pair merged into one mode.
-    """
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
-    grad = np.asarray(grad, dtype=np.float64)
-    want = reconstruct_shape(kind, factors)
-    if grad.shape != want:
-        raise ValueError(f"gradient shape {grad.shape} != tensor shape {want}")
-    if kind == "cp":
-        return _cp_backprop(factors, grad)
-    if kind == "tucker":
-        return _tucker_backprop(factors, grad)
-    if kind == "tt":
-        return _tt_backprop(factors, grad)
-    if kind == "ttm":
-        return _ttm_backprop(factors, grad)
-    raise ValueError(f"unknown format kind {kind!r}")
-
-
-def reconstruct_shape(kind: str, factors) -> tuple:
-    if kind == "cp":
-        return tuple(f.shape[0] for f in factors)
-    if kind == "tucker":
-        return tuple(f.shape[0] for f in factors[:-1])
-    if kind == "tt":
-        return tuple(f.shape[1] for f in factors)
-    if kind == "ttm":
-        return tuple(f.shape[1] for f in factors) + tuple(f.shape[2] for f in factors)
-    raise ValueError(f"unknown format kind {kind!r}")
-
-
-def _cp_backprop(mats, grad):
-    d = len(mats)
-    dims = [m.shape[0] for m in mats]
-    if d == 1:
-        return [np.repeat(grad.reshape(-1, 1), mats[0].shape[1], axis=1)]
-    s = _split(dims)
-    g = grad.reshape(math.prod(dims[:s]), -1)
-    left = _cp_side(mats[:s], g @ dense.khatri_rao(mats[s:]))
-    right = _cp_side(mats[s:], g.T @ dense.khatri_rao(mats[:s]))
-    return left + right
 
 
 def _cp_side(mats, partial):
@@ -338,150 +652,11 @@ def _cp_side(mats, partial):
     return grads
 
 
-def _tucker_backprop(factors, grad):
-    core, mats = factors[-1], factors[:-1]
-    d = len(mats)
-    s = _split([m.shape[0] for m in mats])
-    # Project G once onto each side's factors: the left partial keeps the
-    # left modes at full size and the right modes at rank size, and the
-    # right partial the other way round.
-    left = _project(grad, mats, range(s, d))
-    right = _project(grad, mats, range(s))
-    mat_grads = []
-    for n in range(d):
-        side = range(s) if n < s else range(s, d)
-        partial = _project(left if n < s else right, mats, [m for m in side if m != n])
-        others = [m for m in range(d) if m != n]
-        mat_grads.append(np.tensordot(partial, core, axes=(others, others)))
-    core_grad = _project(left, mats, range(s))
-    return mat_grads + [core_grad]
-
-
 def _project(tensor, mats, modes):
     """Contract each mode in ``modes`` of ``tensor`` with its factor matrix."""
     for m in modes:
         tensor = dense.mode_n_product(tensor, mats[m].T, m)
     return tensor
-
-
-def _tt_backprop(cores, grad):
-    d = len(cores)
-    # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
-    rights = [None] * (d + 1)
-    rights[d] = np.ones((1, 1))
-    for i in range(d - 1, 0, -1):
-        r0, n, r1 = cores[i].shape
-        rights[i] = (cores[i].reshape(r0 * n, r1) @ rights[i + 1]).reshape(r0, -1)
-    # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
-    # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
-    grads = []
-    acc = grad.reshape(1, -1)
-    for i, core in enumerate(cores):
-        r0, n, r1 = core.shape
-        acc = acc.reshape(r0 * n, -1)
-        grads.append((acc @ rights[i + 1].T).reshape(core.shape))
-        if i < d - 1:
-            acc = core.reshape(r0 * n, r1).T @ acc
-    return grads
-
-
-def _ttm_backprop(cores, grad):
-    d = len(cores)
-    # Undo the (rows..., cols...) layout back to interleaved pairs, then
-    # reuse the TT path with (I_n, J_n) merged into one mode per core.
-    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    inv = np.argsort(perm)
-    paired = grad.transpose(inv)
-    merged_grad = paired.reshape([c.shape[1] * c.shape[2] for c in cores])
-    merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
-    merged_grads = _tt_backprop(merged, merged_grad)
-    return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
-
-
-# -- products through the row|col split --------------------------------------
-#
-# A weight folded as (row modes, col modes) splits at that boundary into
-# W = L·M·Rᵀ for CP, Tucker and TT, so a batch x of rows multiplies as
-# ((x·L)·M)·Rᵀ and neither W nor its gradient is formed.  With g the output
-# gradient, the backward pass needs dL = xᵀ(g·R·Mᵀ), dR = gᵀ(x·L·M),
-# dM = (x·L)ᵀ(g·R) and the input gradient g·R·Mᵀ·Lᵀ; each format maps dL and
-# dR onto its factors.  TTM interleaves row and column modes in every core and
-# has no such split.
-
-
-class _CPSplit:
-    """L and R are the Khatri-Rao products of the row and the column factors; M = I."""
-
-    @staticmethod
-    def madds(shapes, n_row):
-        rows = math.prod(s[0] for s in shapes[:n_row])
-        cols = math.prod(s[0] for s in shapes[n_row:])
-        # forward x·L, ·Rᵀ; g·R, dL, dR; input gradient (g·R)·Lᵀ
-        return 3 * shapes[0][1] * (rows + cols)
-
-    @staticmethod
-    def forward(mats, n_row, x):
-        left = dense.khatri_rao(mats[:n_row])
-        right = dense.khatri_rao(mats[n_row:])
-        xl = x @ left
-        return xl @ right.T, (left, right, xl)
-
-    @staticmethod
-    def backward(mats, n_row, x, memo, g, need_input_grad):
-        left, right, xl = memo
-        gr = g @ right
-        grads = _cp_side(mats[:n_row], x.T @ gr) + _cp_side(mats[n_row:], g.T @ xl)
-        return grads, gr @ left.T if need_input_grad else None
-
-
-class _TuckerSplit:
-    """L and R are the Kronecker products of the row and the column factor
-    matrices, applied mode by mode and never formed; M is the core matricized
-    at the boundary.  A batch axis leads every intermediate."""
-
-    @staticmethod
-    def madds(shapes, n_row):
-        dims = [s[0] for s in shapes[:-1]]
-        ranks = list(shapes[-1])
-        row_i, col_j = dims[:n_row], dims[n_row:]
-        row_r, col_r = ranks[:n_row], ranks[n_row:]
-        core = math.prod(ranks)
-        return (
-            _chain_madds(row_i, row_r) + core + _chain_madds(col_r, col_j)  # forward
-            + _chain_madds(col_j, col_r) + 2 * core  # g·R, dM, (g·R)·Mᵀ
-            + _side_madds(row_i, row_r) + _side_madds(col_j, col_r)  # dL, dR
-            + _chain_madds(row_r, row_i)  # input gradient
-        )
-
-    @staticmethod
-    def forward(factors, n_row, x):
-        core, mats = factors[-1], factors[:-1]
-        batch = x.shape[0]
-        rows, cols = mats[:n_row], mats[n_row:]
-        x_part, xl = _batched_project(x.reshape(batch, *(u.shape[0] for u in rows)), rows)
-        xlm = xl.reshape(batch, -1) @ core.reshape(xl[0].size, -1)
-        xlm = xlm.reshape(batch, *(u.shape[1] for u in cols))
-        out = _batched_chain(xlm, cols, False, range(len(cols)))
-        return out.reshape(batch, -1), (x_part, xl, xlm)
-
-    @staticmethod
-    def backward(factors, n_row, x, memo, g, need_input_grad):
-        core, mats = factors[-1], factors[:-1]
-        x_part, xl, xlm = memo
-        batch = x.shape[0]
-        rows, cols = mats[:n_row], mats[n_row:]
-        g = g.reshape(batch, *(u.shape[0] for u in cols))
-        g_part, gr = _batched_project(g, cols)
-        gr = gr.reshape(batch, -1)
-        m = core.reshape(xl[0].size, gr.shape[1])
-        core_grad = (xl.reshape(batch, -1).T @ gr).reshape(core.shape)
-        grm = (gr @ m.T).reshape(xl.shape)
-        x = x.reshape(batch, *(u.shape[0] for u in rows))
-        grads = _tucker_side(x, rows, grm, x_part) + _tucker_side(g, cols, xlm, g_part)
-        g_in = None
-        if need_input_grad:
-            g_in = _batched_chain(grm, rows, False, range(n_row)).reshape(batch, -1)
-        return grads + [core_grad], g_in
 
 
 def _batched_chain(t, mats, project, modes):
@@ -537,67 +712,107 @@ def _side_madds(dims, ranks):
     return projections + sum(dims) * math.prod(ranks)
 
 
-class _TTSplit:
-    """L contracts the row cores into an I x r_b matrix and R the column cores
-    into an r_b x J one, r_b being the bond at the boundary; M = I."""
-
-    @staticmethod
-    def madds(shapes, n_row):
-        rows = math.prod(s[1] for s in shapes[:n_row])
-        cols = math.prod(s[1] for s in shapes[n_row:])
-        return 3 * shapes[n_row][0] * (rows + cols)  # as for CP at rank r_b
-
-    @staticmethod
-    def forward(cores, n_row, x):
-        left = cores[0].reshape(cores[0].shape[1], -1)  # r_0 = 1
-        for core in cores[1:n_row]:
-            r0, n, r1 = core.shape
-            left = (left @ core.reshape(r0, n * r1)).reshape(-1, r1)
-        right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
-        for core in reversed(cores[n_row:-1]):
-            r0, n, r1 = core.shape
-            right = (core.reshape(r0 * n, r1) @ right).reshape(r0, -1)
-        xl = x @ left
-        return xl @ right, (left, right, xl)
-
-    @staticmethod
-    def backward(cores, n_row, x, memo, g, need_input_grad):
-        left, right, xl = memo
-        gr = g @ right.T
-        # Each side is a TT closed by an identity core on the boundary bond,
-        # so the TT sweep maps dL and dR onto the side's cores.
-        eye = np.eye(left.shape[1])
-        rows = _tt_backprop([*cores[:n_row], eye[:, :, None]], x.T @ gr)[:-1]
-        cols = _tt_backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
-        return rows + cols, gr @ left.T if need_input_grad else None
+# -- TTM embedding rows -----------------------------------------------------------
 
 
-_SPLITS = {"cp": _CPSplit, "tucker": _TuckerSplit, "tt": _TTSplit}
-SPLIT_KINDS = frozenset(_SPLITS)
+def _ttm_rows(cores, digits):
+    """Rows of a TTM table for the tokens whose digits are given: (U, E, 1).
 
-
-@functools.lru_cache(maxsize=None)
-def split_madds(kind: str, shapes: tuple, n_row: int) -> int:
-    """Multiply-adds per input row of one training step through the split.
-
-    ``shapes`` are the factor shapes and ``n_row`` the number of row modes.
-    The count covers the forward product, the weight gradients and the input
-    gradient; building L and R and mapping dL and dR onto the factors do not
-    grow with the batch and are left out.
+    Algorithm: a left-to-right sweep of batched GEMMs.  Each core's
+    row-digit slices are gathered once into a (U, r_{n-1}, J_n*r_n) stack,
+    and one ``np.matmul`` per core extends the running (U, P, r_{n-1})
+    contraction to (U, P*J_n, r_n), where U counts the tokens and P the
+    column entries built so far.
     """
-    return _SPLITS[kind].madds(shapes, n_row)
+    slices = (_row_slice(core, digits[:, n]) for n, core in enumerate(cores))
+    return _left_environments(slices, len(digits))[-1]
 
 
-def split_forward(kind: str, factors, n_row: int, x):
-    """``x·W`` for a batch of rows ``x``, through the split; returns the
-    product and the record :func:`split_backward` reads."""
-    return _SPLITS[kind].forward(factors, n_row, x)
+def _row_slice(core, digits):
+    """A core's slices at one row digit per token: (U, r_{n-1}, J_n, r_n)."""
+    r_in, rows, cols, r_out = core.shape
+    flat = np.moveaxis(core, 1, 0).reshape(rows, r_in * cols * r_out)
+    return np.take(flat, digits, axis=0).reshape(len(digits), r_in, cols, r_out)
 
 
-def split_backward(kind: str, factors, n_row: int, x, memo, g, need_input_grad: bool):
-    """Gradients of every factor, and the input gradient (or None), from the
-    gradient ``g`` of the product :func:`split_forward` returned."""
-    return _SPLITS[kind].backward(factors, n_row, x, memo, g, need_input_grad)
+def _left_environments(slices, tokens):
+    """Per-token contraction of the leading cores: entry n is (U, J_0..J_n, r_{n+1}).
+
+    The column modes are flattened into one axis in row-major order, so the
+    last entry, once its trailing rank 1 is dropped, holds the rows.
+    """
+    lefts = []
+    for s in slices:
+        _, r_in, cols, r_out = s.shape
+        step = s.reshape(tokens, r_in, cols * r_out)
+        if lefts:
+            step = np.matmul(lefts[-1], step)
+        lefts.append(step.reshape(tokens, step.shape[1] * cols, r_out))
+    return lefts
+
+
+def _digit_matrix(indices, dims):
+    """Mixed-radix digits of each index over ``dims``, most significant first."""
+    digits = np.empty((len(indices), len(dims)), dtype=np.int64)
+    rem = np.asarray(indices, dtype=np.int64).copy()
+    for i in range(len(dims) - 1, -1, -1):
+        digits[:, i] = rem % dims[i]
+        rem //= dims[i]
+    return digits
+
+
+def _ttm_embedding_backprop(cores, idx, row_grads, row_dims):
+    """Exact table gradients from per-row gradients, touching only seen tokens.
+
+    Equivalent to scattering ``row_grads`` into the dense table gradient and
+    backpropagating through the full reconstruction, but the chain runs per
+    unique token over the column modes only.
+
+    Algorithm: repeated ids are summed once (``np.add.at``, linear in the
+    batch).  Left and right environments of each core come from batched
+    GEMMs over the U unique tokens, and each core's per-token gradient from
+    two more: the left environment against the row gradient, then the
+    result against the right environment.  A one-hot (I_n x U) GEMM adds
+    the per-token gradients into the core's I_n row slices, at a cost of
+    I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small.
+    """
+    unique, inverse = np.unique(np.asarray(idx), return_inverse=True)
+    tokens = unique.size
+    summed = np.zeros((tokens, row_grads.shape[1]))
+    np.add.at(summed, inverse, row_grads)
+    digits = _digit_matrix(unique, row_dims)
+    slices = [_row_slice(core, digits[:, n]) for n, core in enumerate(cores)]
+    d = len(cores)
+    lefts = _left_environments(slices[:-1], tokens)
+    rights = [None] * d  # rights[n]: (U, r_n, J_n..J_{d-1}), for n >= 1
+    for n in range(d - 1, 0, -1):
+        _, r_in, cols, r_out = slices[n].shape
+        step = slices[n].reshape(tokens, r_in * cols, r_out)
+        if n < d - 1:
+            step = np.matmul(step, rights[n + 1])
+        rights[n] = step.reshape(tokens, r_in, cols * step.shape[2])
+
+    embed = summed.shape[1]
+    grads = []
+    for n, core in enumerate(cores):
+        r_in, rows, cols, r_out = core.shape
+        if n == 0:
+            mid = summed.reshape(tokens, cols, embed // cols)  # r_0 = 1
+        else:
+            left = lefts[n - 1]  # (U, J_0..J_{n-1}, r_n)
+            g = summed.reshape(tokens, left.shape[1], embed // left.shape[1])
+            mid = np.matmul(left.transpose(0, 2, 1), g)
+            mid = mid.reshape(tokens, r_in * cols, g.shape[2] // cols)
+        if n == d - 1:
+            per_token = mid  # (U, r_{d-1} J_{d-1}, 1)
+        else:
+            per_token = np.matmul(mid, rights[n + 1].transpose(0, 2, 1))
+        one_hot = (digits[:, n] == np.arange(rows)[:, None]).astype(np.float64)
+        buf = one_hot @ per_token.reshape(tokens, r_in * cols * r_out)
+        grads.append(
+            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
+        )
+    return grads
 
 
 # -- parameter counting, pruning, rank reporting -----------------------------
@@ -610,7 +825,7 @@ def param_count(layer: FactorizedLayer) -> int:
 
 def param_count_at_max_ranks(layer: FactorizedLayer) -> int:
     """Scalar factor entries at ``layer.max_ranks``, the count before any pruning."""
-    shapes = _factor_shapes(layer.kind, layer.row_dims, layer.col_dims, layer.max_ranks)
+    shapes = layer.format.factor_shapes(layer.row_dims, layer.col_dims, layer.max_ranks)
     return sum(math.prod(shape) for shape in shapes)
 
 
@@ -636,7 +851,7 @@ def prune(layer: FactorizedLayer, threshold: float) -> FactorizedLayer:
     masks = _keep_masks(layer, threshold)
     means = [f.mean for f in layer.factors]
     stds = [f.std for f in layer.factors]
-    for mask, axes in zip(masks, _rank_axes(layer.kind, layer.order)):
+    for mask, axes in zip(masks, layer.format.rank_axes(layer.order)):
         for n, axis, _ in axes:
             means[n] = np.compress(mask, means[n], axis=axis)
             stds[n] = np.compress(mask, stds[n], axis=axis)
@@ -660,11 +875,7 @@ def inferred_ranks(layer: FactorizedLayer, threshold: float):
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     counts = [int(np.count_nonzero(v >= threshold)) for v in layer.rank_variances]
-    if layer.kind == "cp":
-        return counts[0]
-    if layer.kind == "tucker":
-        return tuple(counts)
-    return (1, *counts, 1)
+    return layer.format.report(counts)
 
 
 def prior_variance_arrays(layer: FactorizedLayer, weak_prior_var: float) -> list:
@@ -675,7 +886,7 @@ def prior_variance_arrays(layer: FactorizedLayer, weak_prior_var: float) -> list
     axis (the Tucker core) uses the weak prior variance instead.
     """
     out = [None] * len(layer.factors)
-    for v, axes in zip(layer.rank_variances, _rank_axes(layer.kind, layer.order)):
+    for v, axes in zip(layer.rank_variances, layer.format.rank_axes(layer.order)):
         for n, axis, prior in axes:
             if prior:
                 out[n] = v.reshape(_axis_shape(layer.factors[n].mean.ndim, axis))
@@ -695,7 +906,7 @@ def rank_moments(layer: FactorizedLayer) -> list:
     serves the whole vector.
     """
     out = []
-    for axes in _rank_axes(layer.kind, layer.order):
+    for axes in layer.format.rank_axes(layer.order):
         moments, count = None, 0
         for n, axis, prior in axes:
             if not prior:
@@ -707,25 +918,6 @@ def rank_moments(layer: FactorizedLayer) -> list:
             count += f.mean.size // f.shape[axis]
         out.append((moments, count))
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_axes(kind: str, order: int) -> tuple:
-    """The factor slices each rank-variance vector indexes, as (factor, axis, is_prior).
-
-    Rank r of a vector selects index r along ``axis`` of ``factor`` for every
-    listed triple; pruning the rank removes all those slices.  Where
-    ``is_prior`` holds, the rank variance is also the prior variance of the
-    selected entries.  The Tucker core is pruned along every mode but has no
-    prior axis, and the last TT/TTM core's leading bond shares the last
-    interior vector with the trailing bond of the core before it.
-    """
-    d = order
-    if kind == "cp":
-        return (tuple((n, 1, True) for n in range(d)),)
-    if kind == "tucker":
-        return tuple(((n, 1, True), (d, n, False)) for n in range(d))
-    return tuple(((i, -1, True), (i + 1, 0, i == d - 2)) for i in range(d - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -762,76 +954,31 @@ def init_layer(
     rank variances at s^2 (their prior-variance role).  ``target_var``
     defaults to 2/fan_in with fan_in = prod(row_dims).
     """
+    fmt = FORMATS[kind]
     row_dims = [int(d) for d in row_dims]
     col_dims = [int(d) for d in col_dims]
     if fan_in is None:
         fan_in = math.prod(row_dims)
     if target_var is None:
         target_var = 2.0 / fan_in
-    if kind == "ttm":
-        d = len(row_dims)
-        if len(col_dims) != d:
-            raise ValueError("TTM needs equal-length row and column dims")
-    else:
-        d = len(row_dims) + len(col_dims)
-
-    ranks = _normalize_ranks(kind, d, ranks)
-    if kind == "cp":
-        mult, n_tensors = ranks, d
-    elif kind == "tucker":
-        mult, n_tensors = math.prod(ranks), d + 1
-    else:
-        mult, n_tensors = math.prod(ranks) if ranks else 1, d
-    s = (target_var / mult) ** (1.0 / (2 * n_tensors))
+    fmt.check_dims(row_dims, col_dims)
+    ranks = fmt.normalize_ranks(fmt.order(row_dims, col_dims), ranks)
+    shapes = fmt.factor_shapes(row_dims, col_dims, ranks)
+    # Every entry sums prod(ranks) products of one entry of each factor.
+    s = (target_var / math.prod(fmt.rank_list(ranks))) ** (1.0 / (2 * len(shapes)))
 
     def draw(shape):
         mean = rng.normal(0.0, s, size=shape)
         return GaussianFactor(mean, np.full(shape, std_ratio * s))
 
-    factors = [draw(shape) for shape in _factor_shapes(kind, row_dims, col_dims, ranks)]
-    if kind == "cp":
-        rank_variances = [np.full(ranks, s * s)]
-    else:
-        rank_variances = [np.full(r, s * s) for r in ranks]
     return FactorizedLayer(
         kind=kind,
-        factors=factors,
-        rank_variances=rank_variances,
+        factors=[draw(shape) for shape in shapes],
+        rank_variances=[np.full(r, s * s) for r in fmt.rank_list(ranks)],
         row_dims=row_dims,
         col_dims=col_dims,
         max_ranks=ranks,
     )
-
-
-def _factor_shapes(kind: str, row_dims, col_dims, ranks) -> list:
-    """Shapes of a layer's factors, in storage order, at normalized ``ranks``."""
-    if kind == "ttm":
-        bonds = [1, *ranks, 1]
-        return [
-            (bonds[n], row_dims[n], col_dims[n], bonds[n + 1])
-            for n in range(len(row_dims))
-        ]
-    dims = list(row_dims) + list(col_dims)
-    if kind == "cp":
-        return [(n, ranks) for n in dims]
-    if kind == "tucker":
-        return [(n, r) for n, r in zip(dims, ranks)] + [tuple(ranks)]
-    bonds = [1, *ranks, 1]
-    return [(bonds[n], dims[n], bonds[n + 1]) for n in range(len(dims))]
-
-
-def _normalize_ranks(kind: str, order: int, ranks):
-    if kind == "cp":
-        if not np.isscalar(ranks):
-            (ranks,) = list(ranks)
-        return int(ranks)
-    count = order if kind == "tucker" else order - 1
-    if np.isscalar(ranks):
-        return [int(ranks)] * count
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != count:
-        raise ValueError(f"{kind} needs {count} rank entries, got {len(ranks)}")
-    return ranks
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,18 +2,18 @@
 
 Every layer lists its variational Gaussians (factors, cores, plain weights,
 biases) and their prior variances; sampling, the KL and its gradient run
-over that list.  A CP, Tucker or TT linear layer whose row and column dims
-fold its input and output sizes multiplies a batch through its factors,
-W = L·M·Rᵀ, whenever that takes fewer multiply-adds than the dense product;
-otherwise, and for TTM weights, embedding tables and plain layers, a pass
-builds the weight matrix from the sampled (or mean) factors and the backward
-pass maps the dense weight gradient back onto the factor entries.  Either
-way the gradients are exact.
+over that list.  A tensorized linear layer whose row and column dims fold
+its input and output sizes multiplies a batch through its factors,
+W = L·M·Rᵀ, whenever its format splits there and that takes fewer
+multiply-adds than the dense product; otherwise a pass builds the weight
+matrix from the sampled (or mean) factors and the backward pass maps the
+dense weight gradient back onto the factor entries.  Either way the
+gradients are exact.  An embedding's format looks up its rows.
 
 Each layer class also owns its forward and backward pass, its dense
 parameter count, its rank-controlled weight and its checkpoint state, and
 ``LAYER_TYPES`` maps the run-spec ``type`` strings to the classes, so no
-caller tests a layer's type.
+caller tests a layer's type; ``factorized.FORMATS`` does the same for formats.
 """
 
 from __future__ import annotations
@@ -123,39 +123,36 @@ class TensorizedLinear(_Linear):
         """Whether a pass with these weight points multiplies through the
         factors, W = L·M·Rᵀ (see :mod:`tensorard.factorized`), not through W.
 
-        That path needs a CP, Tucker or TT weight whose row and column dims
-        fold the input and output sizes, and fewer multiply-adds per input row
-        than the dense path's 3·I·J: the product, the weight gradient and the
-        input gradient.  The input gradient is counted even where the caller
-        will not read it, because the forward pass cannot know and the
-        backward pass must take the path the forward pass took.
+        That needs row and column dims that fold the input and output sizes
+        and a split with fewer multiply-adds per input row than the dense
+        path's 3·I·J.  Both count the input gradient even where the caller
+        will not read it: the backward pass must take the forward's path.
         """
         w = self.weight
-        if (w.kind not in factorized.SPLIT_KINDS
-                or self.in_features != math.prod(w.row_dims)
+        if (self.in_features != math.prod(w.row_dims)
                 or self.out_features != math.prod(w.col_dims)):
             return False
         shapes = tuple(p.shape for p in weight_points)
-        madds = factorized.split_madds(w.kind, shapes, len(w.row_dims))
+        madds = w.format.split_madds(shapes, len(w.row_dims), w.order)
         return madds < 3 * self.in_features * self.out_features
 
     def _product(self, x, weight_points):
-        kind = self.weight.kind
+        w = self.weight
         if self.takes_split(weight_points):
-            return factorized.split_forward(kind, weight_points, len(self.weight.row_dims), x)
-        w = factorized.reconstruct(kind, weight_points)
-        w = w.reshape(self.in_features, self.out_features)
-        return x @ w, w
+            return w.format.split_forward(weight_points, len(w.row_dims), x)
+        full = factorized.reconstruct(w.kind, weight_points)
+        full = full.reshape(self.in_features, self.out_features)
+        return x @ full, full
 
     def _product_grads(self, x, memo, g, weight_points, need_input_grad):
-        kind = self.weight.kind
+        w = self.weight
         if self.takes_split(weight_points):
-            return factorized.split_backward(
-                kind, weight_points, len(self.weight.row_dims), x, memo, g, need_input_grad
+            return w.format.split_backward(
+                weight_points, len(w.row_dims), x, memo, g, need_input_grad
             )
         d_w, g_in = _dense_grads(x, memo, g, need_input_grad)
-        tensor_grad = d_w.reshape(self.weight.tensor_dims)
-        return factorized.backprop_reconstruction(kind, weight_points, tensor_grad), g_in
+        tensor_grad = d_w.reshape(w.tensor_dims)
+        return factorized.backprop_reconstruction(w.kind, weight_points, tensor_grad), g_in
 
     def state(self):
         """JSON-safe metadata and a dict of named arrays; see :meth:`from_state`."""
@@ -291,12 +288,7 @@ class Embedding:
 
     def backward(self, entry, g, points, need_input_grad):
         """Mean-gradients of the table factors; token ids have no input gradient."""
-        if self.table.kind == "ttm":
-            return _ttm_embedding_backprop(points, entry, g, self.table.row_dims), None
-        table_grad = np.zeros((self.num_tokens, self.embed_dim))
-        np.add.at(table_grad, entry, g)
-        tensor_grad = table_grad.reshape(self.table.tensor_dims)
-        return factorized.backprop_reconstruction(self.table.kind, points, tensor_grad), None
+        return self.table.format.backprop_rows(self.table, points, entry, g), None
 
     def state(self):
         tmeta, arrays = factorized.layer_state(self.table)
@@ -455,123 +447,10 @@ def nll_multinomial(logits, labels) -> float:
 
 
 def embedding_lookup(table: FactorizedLayer, point_factors, indices) -> np.ndarray:
-    """Rows of the reconstructed table for the given token indices.
-
-    For TTM tables the rows are built by contracting the cores against each
-    token's mixed-radix digits, never materializing the full table; other
-    formats materialize and select.
-    """
-    indices = np.asarray(indices)
-    num_tokens = math.prod(table.row_dims)
-    idx = _check_indices(indices, num_tokens)
-    embed_dim = math.prod(table.col_dims)
-    if table.kind != "ttm":
-        full = factorized.reconstruct(table.kind, point_factors)
-        return full.reshape(num_tokens, embed_dim)[idx]
-    unique, inverse = np.unique(idx, return_inverse=True)
-    digits = _digit_matrix(unique, table.row_dims)
-    rows = _ttm_rows(point_factors, digits).reshape(unique.size, embed_dim)
-    return rows[inverse]
-
-
-def _ttm_rows(cores, digits):
-    """Rows of a TTM table for the tokens whose digits are given: (U, E, 1).
-
-    Algorithm: a left-to-right sweep of batched GEMMs.  Each core's
-    row-digit slices are gathered once into a (U, r_{n-1}, J_n*r_n) stack,
-    and one ``np.matmul`` per core extends the running (U, P, r_{n-1})
-    contraction to (U, P*J_n, r_n), where U counts the tokens and P the
-    column entries built so far.
-    """
-    slices = (_row_slice(core, digits[:, n]) for n, core in enumerate(cores))
-    return _left_environments(slices, len(digits))[-1]
-
-
-def _row_slice(core, digits):
-    """A core's slices at one row digit per token: (U, r_{n-1}, J_n, r_n)."""
-    r_in, rows, cols, r_out = core.shape
-    flat = np.moveaxis(core, 1, 0).reshape(rows, r_in * cols * r_out)
-    return np.take(flat, digits, axis=0).reshape(len(digits), r_in, cols, r_out)
-
-
-def _left_environments(slices, tokens):
-    """Per-token contraction of the leading cores: entry n is (U, J_0..J_n, r_{n+1}).
-
-    The column modes are flattened into one axis in row-major order, so the
-    last entry, once its trailing rank 1 is dropped, holds the rows.
-    """
-    lefts = []
-    for s in slices:
-        _, r_in, cols, r_out = s.shape
-        step = s.reshape(tokens, r_in, cols * r_out)
-        if lefts:
-            step = np.matmul(lefts[-1], step)
-        lefts.append(step.reshape(tokens, step.shape[1] * cols, r_out))
-    return lefts
-
-
-def _digit_matrix(indices, dims):
-    """Mixed-radix digits of each index over ``dims``, most significant first."""
-    digits = np.empty((len(indices), len(dims)), dtype=np.int64)
-    rem = np.asarray(indices, dtype=np.int64).copy()
-    for i in range(len(dims) - 1, -1, -1):
-        digits[:, i] = rem % dims[i]
-        rem //= dims[i]
-    return digits
-
-
-def _ttm_embedding_backprop(cores, idx, row_grads, row_dims):
-    """Exact table gradients from per-row gradients, touching only seen tokens.
-
-    Equivalent to scattering ``row_grads`` into the dense table gradient and
-    backpropagating through the full reconstruction, but the chain runs per
-    unique token over the column modes only.
-
-    Algorithm: repeated ids are summed once (``np.add.at``, linear in the
-    batch).  Left and right environments of each core come from batched
-    GEMMs over the U unique tokens, and each core's per-token gradient from
-    two more: the left environment against the row gradient, then the
-    result against the right environment.  A one-hot (I_n x U) GEMM adds
-    the per-token gradients into the core's I_n row slices, at a cost of
-    I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small.
-    """
-    unique, inverse = np.unique(np.asarray(idx), return_inverse=True)
-    tokens = unique.size
-    summed = np.zeros((tokens, row_grads.shape[1]))
-    np.add.at(summed, inverse, row_grads)
-    digits = _digit_matrix(unique, row_dims)
-    slices = [_row_slice(core, digits[:, n]) for n, core in enumerate(cores)]
-    d = len(cores)
-    lefts = _left_environments(slices[:-1], tokens)
-    rights = [None] * d  # rights[n]: (U, r_n, J_n..J_{d-1}), for n >= 1
-    for n in range(d - 1, 0, -1):
-        _, r_in, cols, r_out = slices[n].shape
-        step = slices[n].reshape(tokens, r_in * cols, r_out)
-        if n < d - 1:
-            step = np.matmul(step, rights[n + 1])
-        rights[n] = step.reshape(tokens, r_in, cols * step.shape[2])
-
-    embed = summed.shape[1]
-    grads = []
-    for n, core in enumerate(cores):
-        r_in, rows, cols, r_out = core.shape
-        if n == 0:
-            mid = summed.reshape(tokens, cols, embed // cols)  # r_0 = 1
-        else:
-            left = lefts[n - 1]  # (U, J_0..J_{n-1}, r_n)
-            g = summed.reshape(tokens, left.shape[1], embed // left.shape[1])
-            mid = np.matmul(left.transpose(0, 2, 1), g)
-            mid = mid.reshape(tokens, r_in * cols, g.shape[2] // cols)
-        if n == d - 1:
-            per_token = mid  # (U, r_{d-1} J_{d-1}, 1)
-        else:
-            per_token = np.matmul(mid, rights[n + 1].transpose(0, 2, 1))
-        one_hot = (digits[:, n] == np.arange(rows)[:, None]).astype(np.float64)
-        buf = one_hot @ per_token.reshape(tokens, r_in * cols * r_out)
-        grads.append(
-            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
-        )
-    return grads
+    """Rows of the reconstructed table for the given token indices; a TTM
+    table builds only those rows, the other formats the whole table."""
+    idx = _check_indices(indices, math.prod(table.row_dims))
+    return table.format.lookup_rows(table, point_factors, idx)
 
 
 def _check_indices(indices, num_tokens):

@@ -129,6 +129,19 @@ class TestTrainCommand:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert len(report["nll"]) == 3 and report["dense_params"] == 80
 
+    def test_tt_layer_without_column_modes_trains(self, tmp_path, capsys):
+        # A 16 -> 1 TT layer has all its modes on the row side, so it has no
+        # row|col split and must take the dense path.
+        spec = synthetic_runspec(tmp_path / "run", epochs=2)
+        spec["model"] = {"classes": 2, "layers": [
+            {"type": "tensorized_linear", "format": "tt", "row_dims": [4, 4],
+             "col_dims": [], "max_rank": 2},
+            {"type": "plain_linear", "in_features": 1, "out_features": 2}]}
+        spec["data"] = {"kind": "synthetic", "format": "tt", "row_dims": [4, 4],
+                        "col_dims": [2], "true_rank": 1, "num_samples": 64, "seed": 11}
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        assert rc == 0, capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_three(self, tmp_path, capsys):
         spec = synthetic_runspec(tmp_path / "d")

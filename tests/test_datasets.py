@@ -136,6 +136,18 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="rank"):
             gen_synthetic("tucker", [4, 4], [3], [5, 2, 2], num_samples=10, seed=0)
 
+    @pytest.mark.parametrize("kind,true_rank", [
+        ("cp", [1, 5]),  # one entry only, so the 5 is never drawn
+        ("cp", [5]),
+        ("tucker", [1, 1, 5]),
+        ("tt", [1, 9]),
+        ("ttm", [9]),
+    ])
+    def test_every_true_rank_entry_checked(self, kind, true_rank):
+        col = [4, 1] if kind == "ttm" else [4]
+        with pytest.raises(ValueError, match="rank"):
+            gen_synthetic(kind, [2, 3], col, true_rank, num_samples=10, seed=0)
+
     def test_multinomial_sampling_flag(self):
         ds, _ = gen_synthetic(
             "cp", [4], [3], 2, num_samples=500, seed=3, label_sampling="multinomial"

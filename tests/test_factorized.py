@@ -335,6 +335,18 @@ class TestValidation:
                 "tt", bad, layer.rank_variances, layer.row_dims, layer.col_dims
             )
 
+    @pytest.mark.parametrize("kind,row,col,ranks,count", [
+        ("cp", [2, 3], [4], [2, 3], 1),
+        ("cp", [2, 3], [4], [], 1),
+        ("tucker", [2, 3], [4], [2, 2], 3),
+        ("tt", [2, 3], [4], [2, 2, 2], 2),
+        ("ttm", [2, 3], [4, 1], [2, 2], 1),
+    ])
+    def test_wrong_rank_entry_count_names_the_count(self, kind, row, col, ranks, count):
+        want = f"{kind} needs {count} rank entries, got {len(ranks)}"
+        with pytest.raises(ValueError, match=want):
+            init_layer(kind, row, col, ranks, np.random.default_rng(0))
+
     def test_cp_factor_without_rank_axis_rejected(self):
         # No max_ranks given, so the constructor also reads the current ranks.
         flat = GaussianFactor(np.ones(3), np.ones(3))

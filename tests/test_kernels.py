@@ -7,7 +7,7 @@ d-1 mode products per Tucker mode, and one full-gradient contraction per
 TT core; for TTM embeddings, per-token ``np.einsum`` chains and
 ``np.add.at`` scatters; for linear layers, the pass that rebuilds W, runs
 the dense GEMMs and maps dW back onto the factors.  They call the current ``dense`` primitives and
-``network._digit_matrix``, which are checked on their own.  The kernels in
+``factorized._digit_matrix``, which are checked on their own.  The kernels in
 ``factorized`` and ``network`` sum in another order, so the two must agree
 to 1e-12 relative, not bit for bit.
 """
@@ -15,8 +15,9 @@ to 1e-12 relative, not bit for bit.
 import numpy as np
 import pytest
 
-from tensorard import dense, factorized, network
-from tensorard.network import TensorizedLinear, _digit_matrix
+from tensorard import dense, factorized
+from tensorard.factorized import _digit_matrix
+from tensorard.network import TensorizedLinear
 
 REL_TOL = 1e-12
 
@@ -301,10 +302,10 @@ def check_embedding_kernels(row_dims, col_dims, ranks, idx, rng):
     unique = np.unique(idx)
     digits = _digit_matrix(unique, row_dims)
     want_rows = _ttm_rows(cores, digits).reshape(unique.size, -1)
-    got_rows = network._ttm_rows(cores, digits).reshape(unique.size, -1)
+    got_rows = factorized._ttm_rows(cores, digits).reshape(unique.size, -1)
     assert_close(got_rows, want_rows)
     want = _ttm_embedding_backprop(cores, idx, grads, row_dims)
-    got = network._ttm_embedding_backprop(cores, idx, grads, row_dims)
+    got = factorized._ttm_embedding_backprop(cores, idx, grads, row_dims)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_close(g, w)
@@ -505,6 +506,10 @@ def _cfg(kind, row_dims, col_dims, rank, in_out=None):
     (_cfg("cp", [28, 28], [16, 32], 50, (1568, 256)), False),
     (_cfg("tucker", [28, 28], [16, 32], 12, (392, 1024)), False),
     (_cfg("tt", [28, 28], [16, 32], 20, (1568, 256)), False),
+    # every mode on one side: no row|col boundary to split at
+    *((_cfg(kind, dims, other, 2), False)
+      for kind in ("tt", "cp", "tucker")
+      for dims, other in (([64, 64], []), ([], [64, 64]))),
 ])
 def test_path_choice_on_fixed_shapes(cfg, split):
     assert _takes_split(cfg) == split

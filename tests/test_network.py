@@ -270,7 +270,7 @@ class TestEmbedding:
             embedding_lookup(table, table.point_means(), np.array([24]))
 
     def test_sparse_ttm_backprop_equals_dense_scatter(self):
-        from tensorard.network import _ttm_embedding_backprop
+        from tensorard.factorized import _ttm_embedding_backprop
 
         rng = np.random.default_rng(30)
         for _ in range(10):
@@ -296,7 +296,7 @@ class TestEmbedding:
     @pytest.mark.parametrize("cores", [9, 10])
     def test_ttm_table_with_more_than_eight_cores(self, cores):
         from tensorard.datasets import LabeledDataset
-        from tensorard.network import _ttm_embedding_backprop
+        from tensorard.factorized import _ttm_embedding_backprop
         from tensorard.training import TrainConfig, train
 
         row_dims, col_dims = [2] * cores, [1] * (cores - 2) + [2, 2]

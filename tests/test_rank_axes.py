@@ -3,9 +3,9 @@
 The reference functions below are the earlier implementations, kept
 verbatim: one branch per format in shape validation, pruning, prior
 variances and rank-variance moments.  The current code derives all four
-from ``factorized._rank_axes`` and must agree with them bit for bit:
-values, shapes, dtypes and count types.  Validation must accept and reject
-the same layers.
+from each format's ``rank_axes`` in ``factorized.FORMATS`` and must agree
+with them bit for bit: values, shapes, dtypes and count types.  Validation
+must accept and reject the same layers.
 """
 
 import numpy as np

@@ -22,14 +22,13 @@ import numpy as np
 import pytest
 
 from tensorard import bayes, factorized, training
-from tensorard.factorized import SIGMA_FLOOR
+from tensorard.factorized import SIGMA_FLOOR, _ttm_embedding_backprop
 from tensorard.network import (
     Embedding,
     PlainLinear,
     TensorizedLinear,
     _check_indices,
     _check_labels,
-    _ttm_embedding_backprop,
     build_network,
     embedding_lookup,
     softmax,
