@@ -175,6 +175,17 @@ def _set_thread_env(threads):
         os.environ[var] = str(threads)
 
 
+def _thread_count(text):
+    """A --threads value: an int of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {threads}")
+    return threads
+
+
 def load_runspec(path):
     try:
         doc = json.loads(Path(path).read_text())
@@ -460,7 +471,7 @@ def build_parser():
         prog="tensorard",
         description="Train tensorized neural networks with automatic rank determination.",
     )
-    parser.add_argument("--threads", type=int, help="cap BLAS/OpenMP threads")
+    parser.add_argument("--threads", type=_thread_count, help="cap BLAS/OpenMP threads")
     parser.add_argument(
         "--deterministic",
         action="store_true",

@@ -7,8 +7,8 @@ automatic rank determination.
 ``FORMATS`` maps each format kind to one object that states all the format's
 own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
 rank caps, the row|col split of a linear product and the embedding row
-lookup.  TTM is TT over merged (I_n·J_n) modes plus one transpose, so its
-class extends TT's.  No caller tests a format's name.
+lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's.
+No caller tests a format's name.
 """
 
 from __future__ import annotations
@@ -204,8 +204,11 @@ def reconstruct_shape(kind: str, factors) -> tuple:
 # ((x·L)·M)·Rᵀ and neither W nor its gradient is formed.  With g the output
 # gradient, the backward pass needs dL = xᵀ(g·R·Mᵀ), dR = gᵀ(x·L·M),
 # dM = (x·L)ᵀ(g·R) and the input gradient g·R·Mᵀ·Lᵀ; each format maps dL and
-# dR onto its factors.  TTM interleaves row and column modes in every core and
-# has no such split.
+# dR onto its factors.  TTM interleaves row and column modes in every core, so
+# it has no such split and still builds W and its gradient.  It splits instead
+# at a bond: W = A·B over the bond s that balances the merged (I_n·J_n) sizes,
+# written straight into its (rows..., cols...) layout, and dW contracts
+# against A and B in two GEMMs (see ``_TTM.backprop``).
 
 
 class _Format:
@@ -554,10 +557,11 @@ class _TT(_Format):
 
 class _TTM(_TT):
     """d cores (R_{n-1}, I_n, J_n, R_n): the TT of the merged (I_n·J_n) modes,
-    whose full tensor is transposed from paired (I_0, J_0, I_1, ...) to
-    (rows..., cols...) order.  Row and column modes share every core, so no
-    row|col boundary falls between two cores (``n_row`` equals the order)
-    and the split rule never splits.  An embedding builds only its rows."""
+    its full tensor in (rows..., cols...) order.  Row and column modes share
+    every core, so no row|col boundary falls between two cores (``n_row``
+    equals the order) and the split rule never splits; W and its gradient
+    are instead contracted through the bond that balances the merged sizes.
+    An embedding builds only its rows."""
 
     name = "ttm"
 
@@ -572,28 +576,73 @@ class _TTM(_TT):
     def _modes(self, row_dims, col_dims):
         return list(zip(row_dims, col_dims))
 
+    def _sides(self, cores):
+        """The balanced bond s and the partial contractions on either side of
+        it, each with its row modes before its column modes: ``lefts[k]`` is
+        cores[:k+1] as (I, J, r_{k+1}) and ``rights[k]`` is cores[s+k:] as
+        (r_{s+k}, I, J).  So A = lefts[-1] is (I<, J<, r) and B = rights[0]
+        is (r, I≥, J≥)."""
+        s = _split([c.shape[1] * c.shape[2] for c in cores])
+        lefts = [cores[0][0]]  # r_0 = 1
+        for core in cores[1:s]:
+            r0, n, m, r1 = core.shape
+            i, j = lefts[-1].shape[:2]
+            a = (lefts[-1].reshape(i * j, r0) @ core.reshape(r0, -1)).reshape(i, j, n, m, r1)
+            lefts.append(a.transpose(0, 2, 1, 3, 4).reshape(i * n, j * m, r1))
+        rights = [cores[-1][..., 0]]  # r_d = 1
+        for core in reversed(cores[s:-1]):
+            r0, n, m, r1 = core.shape
+            i, j = rights[0].shape[1:]
+            b = (core.reshape(-1, r1) @ rights[0].reshape(r1, -1)).reshape(r0, n, m, i, j)
+            rights.insert(0, b.transpose(0, 1, 3, 2, 4).reshape(r0, n * i, m * j))
+        return s, lefts, rights
+
     def full(self, cores):
-        merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
-        out = super().full(merged)
-        d = len(cores)
-        paired = out.reshape([s for c in cores for s in c.shape[1:3]])
-        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-        return np.ascontiguousarray(paired.transpose(perm))
+        """W as A (I<, J<, r) times B (r, I≥, J≥) over the balanced bond:
+        one batched product writes it as (I<, I≥, J<, J≥), which is already
+        the (rows..., cols...) layout, so W is built once and never
+        transposed."""
+        if len(cores) == 1:  # one core is its own (I, J) matrix
+            return cores[0][0, ..., 0].copy()
+        _, lefts, rights = self._sides(cores)
+        a, b = lefts[-1], rights[0]
+        return np.matmul(a[:, None], b.transpose(1, 0, 2)[None]).reshape(self.shape(cores))
 
     def shape(self, cores):
         return tuple(f.shape[1] for f in cores) + tuple(f.shape[2] for f in cores)
 
     def backprop(self, cores, grad):
-        d = len(cores)
-        # Undo the (rows..., cols...) layout back to interleaved pairs, then
-        # reuse the TT path with (I_n, J_n) merged into one mode per core.
-        perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-        inv = np.argsort(perm)
-        paired = grad.transpose(inv)
-        merged_grad = paired.reshape([c.shape[1] * c.shape[2] for c in cores])
-        merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
-        merged_grads = super().backprop(merged, merged_grad)
-        return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
+        """Through the balanced bond of :meth:`full`: G, viewed as
+        (I<, I≥, J<, J≥), is transposed once into an (I<·J<, I≥·J≥) matrix;
+        then gA = G·Bᵀ and gB = Aᵀ·G are two GEMMs of about I·J·r
+        multiply-adds each.  Each side then sweeps from the bond outwards,
+        one core at a time: the core's gradient contracts the side's running
+        gradient with the partial beyond the core, and the running gradient
+        passes through the core.  A side of one core takes its gradient as a
+        reshape."""
+        if len(cores) == 1:
+            return [grad.reshape(cores[0].shape).copy()]
+        s, lefts, rights = self._sides(cores)
+        (ri, ci, r), (_, ro, co) = lefts[-1].shape, rights[0].shape
+        g = grad.reshape(ri, ro, ci, co).transpose(0, 2, 1, 3).reshape(ri * ci, ro * co)
+        g_a = g @ rights[0].reshape(r, -1).T
+        g_b = lefts[-1].reshape(-1, r).T @ g
+        grads = [None] * len(cores)
+        for k in range(s - 1, 0, -1):
+            r0, n, m, r1 = cores[k].shape
+            i, j = lefts[k - 1].shape[:2]
+            g_a = g_a.reshape(i, n, j, m, r1).transpose(0, 2, 1, 3, 4).reshape(i * j, -1)
+            grads[k] = (lefts[k - 1].reshape(-1, r0).T @ g_a).reshape(cores[k].shape)
+            g_a = g_a @ cores[k].reshape(r0, -1).T
+        grads[0] = g_a.reshape(cores[0].shape)
+        for k in range(s, len(cores) - 1):
+            r0, n, m, r1 = cores[k].shape
+            i, j = rights[k - s + 1].shape[1:]
+            g_b = g_b.reshape(r0, n, i, m, j).transpose(0, 1, 3, 2, 4).reshape(-1, i * j)
+            grads[k] = (g_b @ rights[k - s + 1].reshape(r1, -1).T).reshape(cores[k].shape)
+            g_b = cores[k].reshape(-1, r1).T @ g_b
+        grads[-1] = g_b.reshape(cores[-1].shape)
+        return grads
 
     def lookup_rows(self, table, points, idx):
         unique, inverse = np.unique(idx, return_inverse=True)
@@ -622,7 +671,8 @@ def _split(dims) -> int:
     """Number of leading modes whose size product is closest to the rest's.
 
     The modes ``dims[:s]`` and ``dims[s:]`` form the left and right sides of
-    the CP and Tucker kernels; balancing them keeps both side GEMMs small.
+    the CP, Tucker and TTM kernels; balancing them keeps both side GEMMs
+    small.
     """
     return min(
         range(1, max(len(dims), 2)),

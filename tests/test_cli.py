@@ -322,6 +322,19 @@ def test_thread_flags_leave_one_thread(tmp_path, flags):
     assert _run_python(code, tmp_path).splitlines()[-1] == "1"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_counts_below_one_exit_two(tmp_path, capsys, monkeypatch, threads):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    spec = write_spec(tmp_path, synthetic_runspec(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", threads, "train", "--spec", str(spec)])
+    assert exc.value.code == 2
+    assert "thread count must be at least 1" in capsys.readouterr().err
+    assert not any(var in os.environ for var in THREAD_VARS)
+    assert not (tmp_path / "out").exists()
+
+
 def embedding_net(seed=0):
     from tensorard import network
 

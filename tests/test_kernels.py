@@ -4,8 +4,10 @@ ones they replaced.
 The reference functions below are the earlier implementations, kept verbatim:
 one Khatri-Rao product and one unfolding of the full gradient per CP mode,
 d-1 mode products per Tucker mode, and one full-gradient contraction per
-TT core; for TTM embeddings, per-token ``np.einsum`` chains and
-``np.add.at`` scatters; for linear layers, the pass that rebuilds W, runs
+TT core; for TTM weights, the TT contraction and sweep over merged
+(I_n·J_n) modes with one transpose of W or of its gradient between the
+paired and the (rows..., cols...) layout; for TTM embeddings, per-token
+``np.einsum`` chains and ``np.add.at`` scatters; for linear layers, the pass that rebuilds W, runs
 the dense GEMMs and maps dW back onto the factors.  They call the current ``dense`` primitives and
 ``factorized._digit_matrix``, which are checked on their own.  The kernels in
 ``factorized`` and ``network`` sum in another order, so the two must agree
@@ -95,6 +97,22 @@ def _tt_backprop(cores, grad):
             )
             grads.append(g)
     return grads
+
+
+def _tt_full(cores):
+    out = cores[0][0]
+    for core in cores[1:]:
+        out = np.tensordot(out, core, axes=([-1], [0]))
+    return out[..., 0]
+
+
+def _ttm_full(cores):
+    merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
+    out = _tt_full(merged)
+    d = len(cores)
+    paired = out.reshape([s for c in cores for s in c.shape[1:3]])
+    perm = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
+    return np.ascontiguousarray(paired.transpose(perm))
 
 
 def _ttm_backprop(cores, grad):
@@ -237,6 +255,8 @@ def check_kernel(kind, factors, rng, layout):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_close(g, w)
+    if kind == "ttm":
+        assert_close(factorized.reconstruct(kind, factors), _ttm_full(factors))
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
@@ -249,7 +269,12 @@ def test_kernel_matches_reference_on_random_cases(kind, order, layout):
 
 
 # Hand-picked corners: order 1, every bond or rank 1, every mode size 1,
-# ranks far above the mode sizes, and the wide 784x512 layer's split.
+# ranks far above the mode sizes, and the wide 784x512 layer's split.  The
+# TTM kernels split at the bond s that balances the merged (I_n·J_n) sizes;
+# the cases after the first three TTM ones are the three TTM layers the
+# benchmark trains (784->512 and 512->10 at rank 20, the narrow 784->10 at
+# rank 10), then s = 1 and s = d-1 at orders 3 and 4, size-1 modes, every
+# bond rank 1, a rank-1 bond at s between wider ones, and one core.
 EDGE_CASES = [
     ("cp", [1, 1, 1], 3),
     ("cp", [2, 3, 4, 2], 1),
@@ -265,6 +290,17 @@ EDGE_CASES = [
     ("ttm", [(1, 1), (1, 1), (1, 1)], [1, 1]),
     ("ttm", [(2, 3), (3, 2)], [1]),
     ("ttm", [(2, 1), (1, 3), (2, 2)], [7, 8]),
+    ("ttm", [(4, 4), (7, 4), (4, 8), (7, 4)], [20, 20, 20]),
+    ("ttm", [(32, 2), (16, 5)], [20]),
+    ("ttm", [(4, 7), (7, 2), (4, 5)], [10, 10]),
+    ("ttm", [(3, 4), (2, 1), (1, 3)], [3, 2]),
+    ("ttm", [(1, 2), (3, 1), (4, 3)], [2, 3]),
+    ("ttm", [(4, 5), (2, 1), (1, 2), (2, 1)], [2, 3, 2]),
+    ("ttm", [(2, 1), (1, 2), (2, 1), (3, 4)], [1, 2, 3]),
+    ("ttm", [(1, 1), (1, 3), (2, 1), (1, 1)], [2, 2, 2]),
+    ("ttm", [(3, 2), (2, 2), (2, 3), (2, 2)], [1, 1, 1]),
+    ("ttm", [(2, 2), (3, 2), (2, 3), (2, 2)], [5, 1, 4]),
+    ("ttm", [(3, 2)], []),
 ]
 
 
@@ -273,6 +309,38 @@ EDGE_CASES = [
 def test_kernel_matches_reference_on_edge_cases(kind, dims, ranks, layout):
     rng = np.random.default_rng(len(EDGE_CASES))
     check_kernel(kind, random_factors(kind, dims, ranks, rng), rng, layout)
+
+
+@pytest.mark.parametrize("dims,ranks,s", [
+    ([(3, 3), (2, 2), (2, 2)], [3, 2], 1),
+    ([(2, 2), (2, 3), (3, 2), (2, 2)], [2, 3, 2], 2),
+])
+def test_ttm_gradients_match_central_differences(dims, ranks, s):
+    """Criterion 5 for the TTM kernels: every core entry's gradient of
+    <reconstruct(cores), G> against a central difference.  Each case has a
+    side of two cores, which the backward sweep peels one core at a time, and
+    no such side has a size-1 mode, so a mode order mixed up between them
+    shows."""
+    assert factorized._split([i * j for i, j in dims]) == s
+    rng = np.random.default_rng(len(dims))
+    cores = [c * 0.5 for c in random_factors("ttm", dims, ranks, rng)]
+    g = rng.standard_normal(factorized.reconstruct_shape("ttm", cores))
+    grads = factorized.backprop_reconstruction("ttm", cores, g)
+    # The inner product is linear in each single entry, so the difference
+    # has no truncation error and h only sets the roundoff.
+    h = 1e-3
+    for core, grad in zip(cores, grads):
+        flat, grad_flat = core.reshape(-1), grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = float(np.sum(factorized.reconstruct("ttm", cores) * g))
+            flat[j] = orig - h
+            down = float(np.sum(factorized.reconstruct("ttm", cores) * g))
+            flat[j] = orig
+            numeric = (up - down) / (2 * h)
+            rel = abs(numeric - grad_flat[j]) / max(abs(numeric), abs(grad_flat[j]), 1e-8)
+            assert rel < 1e-6
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])

@@ -16,11 +16,26 @@ once on the new one, and the two outputs must be identical:
     diff old.txt new.txt
 
 OUT is a scratch directory for the runs; it is created if missing.
+
+A change that may only move floats by rounding (one that sums in another
+order) compares the two OUT directories numerically instead:
+
+    PYTHONPATH=<new>/src python tools/golden_runs.py --compare OUT_OLD OUT_NEW
+
+For each run of OUT_OLD it prints the largest relative difference (the
+largest absolute difference over the largest magnitude in OUT_OLD) of every
+float array of ``checkpoint_final.npz`` and of every float column of
+``metrics.csv``, then the largest over all runs.  It exits 1 when OUT_OLD
+holds no run, when a run is missing from OUT_NEW, or when any integer array
+(``meta`` included), array shape, array or column name, row count, or
+``epoch`` or ``rank_*`` column differs; else 0.
 """
 
 import contextlib
+import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,7 +98,77 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def max_rel_diff(got, want) -> float:
+    """max |got - want| over max |want|; NaNs must sit in the same places."""
+    nan = np.isnan(want)
+    if not np.array_equal(nan, np.isnan(got)):
+        return math.inf
+    got, want = np.where(nan, 0.0, got), np.where(nan, 0.0, want)
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    return float(np.max(np.abs(got - want), initial=0.0)) / scale
+
+
+def read_metrics(path):
+    with open(path, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    return header, rows
+
+
+def compare_run(name, old, new):
+    """Print one run's float differences; return (largest, mismatches)."""
+    bad, worst = [], 0.0
+    with np.load(old / "checkpoint_final.npz") as a, np.load(new / "checkpoint_final.npz") as b:
+        if sorted(a.files) != sorted(b.files):
+            bad.append("checkpoint array names")
+        for key in sorted(set(a.files) & set(b.files)):
+            x, y = a[key], b[key]
+            if x.dtype != y.dtype or x.shape != y.shape:
+                bad.append(f"final {key} dtype or shape")
+            elif not np.issubdtype(x.dtype, np.floating):
+                if not np.array_equal(x, y):
+                    bad.append(f"final {key}")
+            else:
+                rel = max_rel_diff(y, x)
+                worst = max(worst, rel)
+                print(name, "final", key, x.dtype, x.shape, f"maxrel {rel:.3g}")
+    (head_a, rows_a), (head_b, rows_b) = (read_metrics(d / "metrics.csv") for d in (old, new))
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        bad.append("metrics.csv columns or rows")
+        return worst, bad
+    for j, column in enumerate(head_a):
+        x, y = [r[j] for r in rows_a], [r[j] for r in rows_b]
+        if column.startswith("rank_") or column == "epoch":
+            if x != y:
+                bad.append(f"metrics.csv {column}")
+            continue
+        rel = max_rel_diff(np.array(y, dtype=float), np.array(x, dtype=float))
+        worst = max(worst, rel)
+        print(name, "metrics.csv", column, f"maxrel {rel:.3g}")
+    return worst, bad
+
+
+def compare(old_dir, new_dir) -> int:
+    worst, failed = 0.0, False
+    runs = sorted(p.name for p in Path(old_dir).iterdir()
+                  if (p / "checkpoint_final.npz").is_file())
+    for name in runs:
+        old, new = Path(old_dir) / name, Path(new_dir) / name
+        if not (new / "checkpoint_final.npz").is_file():
+            print(name, "MISMATCH missing from", new_dir)
+            failed = True
+            continue
+        rel, bad = compare_run(name, old, new)
+        worst = max(worst, rel)
+        for what in bad:
+            print(name, "MISMATCH", what)
+        failed = failed or bool(bad)
+    print(f"{len(runs)} runs, largest relative difference {worst:.3g}")
+    return 1 if failed or not runs else 0
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
