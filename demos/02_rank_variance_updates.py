@@ -5,7 +5,8 @@ the incremental update, and pruning once variances collapse.
 import numpy as np
 
 import tensorard as ta
-from tensorard.bayes import rank_var_stats_all, update_rank_variances
+from tensorard.bayes import update_rank_variances
+from tensorard.factorized import rank_moments
 
 # The optimum for one rank variance depends only on the total squared mass M
 # of the entries it controls and their count D.
@@ -31,8 +32,8 @@ for _ in range(200):
     update_rank_variances(layer, ta.LogUniform(), step=0.1)
 print("after updates: ", layer.rank_variances[0])
 
-moments, counts = rank_var_stats_all(layer)[0]
-print("entry mass per column:", moments.round(6), "entries per column:", counts)
+moments, count = rank_moments(layer)[0]
+print("entry mass per column:", moments.round(6), "entries per column:", count)
 
 pruned = ta.prune(layer, 1e-4)
 print("pruned rank:", pruned.ranks, " params:",

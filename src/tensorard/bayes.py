@@ -31,7 +31,6 @@ __all__ = [
     "rank_penalty",
     "sample_gaussians",
     "sample_factors",
-    "rank_var_stats_all",
     "kl_gradients",
     "layer_kl",
     "update_rank_variances",
@@ -186,14 +185,6 @@ def sample_gaussians(gaussians, rng: np.random.Generator):
 def sample_factors(layer: FactorizedLayer, rng: np.random.Generator):
     """:func:`sample_gaussians` over a layer's factors."""
     return sample_gaussians(layer.factors, rng)
-
-
-def rank_var_stats_all(layer: FactorizedLayer):
-    """Vectorized stats: one (moment_vec, count_vec) pair per rank-variance vector."""
-    return [
-        (m, np.full(m.shape, count, dtype=np.int64))
-        for m, count in rank_moments(layer)
-    ]
 
 
 def kl_gradients(layer: FactorizedLayer, weak_prior_var: float = 1.0):

@@ -39,7 +39,7 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or self.labels.size < 1:
             raise ValueError("labels must be a nonempty 1-d integer array")
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.inputs.ndim == 0 or self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on the sample count")
         if self.labels.min() < 0 or self.labels.max() >= self.classes:
             raise ValueError(f"labels must lie in [0, {self.classes})")
@@ -218,16 +218,44 @@ def save_dataset(dataset: LabeledDataset, prefix) -> None:
 
 
 def load_dataset(prefix) -> LabeledDataset:
+    """Read a dataset written by :func:`save_dataset`.
+
+    A header that is not a JSON object holding every key :func:`save_dataset`
+    writes, that names an unknown ``input_kind`` or that disagrees with the
+    ``.bin`` file raises ``ValueError`` naming ``prefix``.
+    """
     prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    raw = prefix.with_suffix(".bin").read_bytes()
+    try:
+        header = json.loads(prefix.with_suffix(".json").read_text())
+        return _dataset_from_blob(header, prefix.with_suffix(".bin").read_bytes())
+    except ValueError as e:
+        raise ValueError(f"{prefix} is not a readable dataset: {e}") from e
+
+
+_INPUT_DTYPES = {"token": "<i8", "float": "<f8"}
+_HEADER_SIZES = ("num_samples", "classes", "input_bytes", "label_bytes")
+
+
+def _dataset_from_blob(header, raw) -> LabeledDataset:
+    if not isinstance(header, dict):
+        raise ValueError("its header is not a JSON object")
+    missing = [k for k in (*_HEADER_SIZES, "input_kind", "input_shape") if k not in header]
+    if missing:
+        raise ValueError(f"its header lacks {', '.join(missing)}")
+    kind, shape = header["input_kind"], header["input_shape"]
+    if not isinstance(kind, str) or kind not in _INPUT_DTYPES:
+        raise ValueError(f"unknown input_kind {kind!r}")
+    sizes = [header[k] for k in _HEADER_SIZES] + (shape if isinstance(shape, list) else [None])
+    if not all(type(n) is int and n >= 0 for n in sizes):
+        raise ValueError("its header's sizes and input_shape must be nonnegative integers")
+    if (header["input_bytes"] != 8 * math.prod(shape)
+            or header["label_bytes"] != 8 * header["num_samples"]):
+        raise ValueError("its header's byte counts disagree with input_shape and num_samples")
     if len(raw) != header["input_bytes"] + header["label_bytes"]:
-        raise ValueError(f"{prefix}.bin: expected "
-                         f"{header['input_bytes'] + header['label_bytes']} bytes, "
-                         f"got {len(raw)}")
-    dtype = "<i8" if header["input_kind"] == "token" else "<f8"
-    inputs = np.frombuffer(raw, dtype=dtype, count=math.prod(header["input_shape"]))
-    inputs = inputs.reshape(header["input_shape"]).copy()
+        raise ValueError(f"expected {header['input_bytes'] + header['label_bytes']} "
+                         f"bytes in the .bin file, got {len(raw)}")
+    inputs = np.frombuffer(raw, dtype=_INPUT_DTYPES[kind], count=math.prod(shape))
+    inputs = inputs.reshape(shape).copy()
     labels = np.frombuffer(
         raw, dtype="<i8", count=header["num_samples"], offset=header["input_bytes"]
     ).copy()

@@ -15,9 +15,7 @@ __all__ = [
     "as_tensor",
     "mode_n_product",
     "fold_matrix",
-    "unfold_matrix",
     "fold_matrix_paired",
-    "unfold_matrix_paired",
     "khatri_rao",
 ]
 
@@ -71,14 +69,6 @@ def fold_matrix(matrix, dims) -> np.ndarray:
     return np.ascontiguousarray(w).reshape(dims)
 
 
-def unfold_matrix(tensor, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`fold_matrix`; exact (bit-identical) round trip."""
-    t = np.asarray(tensor, dtype=np.float64)
-    if rows * cols != t.size:
-        raise ValueError(f"cannot unfold {t.size} entries to {rows}x{cols}")
-    return np.ascontiguousarray(t).reshape(rows, cols)
-
-
 def fold_matrix_paired(matrix, row_dims, col_dims) -> np.ndarray:
     """Fold a matrix into an order-2d tensor with paired row/column modes.
 
@@ -101,17 +91,6 @@ def fold_matrix_paired(matrix, row_dims, col_dims) -> np.ndarray:
         )
     # Row digits are most significant, so this is a plain buffer reshape.
     return np.ascontiguousarray(w).reshape(row_dims + col_dims)
-
-
-def unfold_matrix_paired(tensor) -> np.ndarray:
-    """Inverse of :func:`fold_matrix_paired` for an order-2d tensor."""
-    t = np.asarray(tensor, dtype=np.float64)
-    if t.ndim % 2 != 0:
-        raise ValueError(f"expected an even-order tensor, got order {t.ndim}")
-    d = t.ndim // 2
-    rows = math.prod(t.shape[:d])
-    cols = math.prod(t.shape[d:])
-    return np.ascontiguousarray(t).reshape(rows, cols)
 
 
 def khatri_rao(matrices) -> np.ndarray:

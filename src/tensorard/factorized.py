@@ -8,7 +8,9 @@ automatic rank determination.
 own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
 rank caps, the row|col split of a linear product and the embedding row
 lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's.
-No caller tests a format's name.
+A TTM embedding row is the TT of each core's slice at the row's digit, so
+TT's kernels build just the looked-up rows and their gradients.  No caller
+tests a format's name.
 """
 
 from __future__ import annotations
@@ -193,10 +195,6 @@ def backprop_reconstruction(kind: str, factors, grad) -> list:
     return fmt.backprop(factors, grad)
 
 
-def reconstruct_shape(kind: str, factors) -> tuple:
-    return FORMATS[kind].shape(factors)
-
-
 # -- the format table -----------------------------------------------------------
 #
 # A weight folded as (row modes, col modes) splits at that boundary into
@@ -229,6 +227,9 @@ class _Format:
 
     def check_dims(self, row_dims, col_dims):
         """Raise ValueError for dims the format cannot fold."""
+        dims = [*row_dims, *col_dims]
+        if not dims or min(dims) < 1:
+            raise ValueError(f"{self.name} needs at least one mode, each of size 1 or more")
 
     def normalize_ranks(self, order, ranks):
         """One int per rank-variance vector; a scalar fills every entry."""
@@ -462,11 +463,15 @@ class _TT(_Format):
 
     Split: L contracts the row cores into an I x r_b matrix and R the column
     cores into an r_b x J one, r_b being the bond at the boundary; M = I.
+
+    ``full`` and ``backprop`` also take cores that share leading batch axes,
+    (…, r_{n-1}, I_n, r_n): one TT per batch entry.
     """
 
     name = "tt"
 
     def check_dims(self, row_dims, col_dims):
+        super().check_dims(row_dims, col_dims)
         if self.order(row_dims, col_dims) < 2:
             raise ValueError(f"{self.name} needs at least 2 cores")
 
@@ -496,35 +501,35 @@ class _TT(_Format):
         return [min(math.prod(sizes[:n]), math.prod(sizes[n:])) for n in range(1, len(sizes))]
 
     def full(self, cores):
-        out = cores[0][0]
-        for core in cores[1:]:
-            out = np.tensordot(out, core, axes=([-1], [0]))
-        return out[..., 0]
+        return _tt_left(cores)[..., 0]
 
     def shape(self, cores):
-        return tuple(f.shape[1] for f in cores)
+        return tuple(f.shape[-2] for f in cores)
 
     def backprop(self, cores, grad):
         """One left-to-right sweep: the running contraction of G with the
         leading cores times the right environment of the trailing cores gives
-        each core's gradient.  The environments are built once from the cores."""
+        each core's gradient.  The environments are built once from the cores.
+        Batched cores (…, r_{n-1}, I_n, r_n) take G as (…, I_0..I_{d-1})."""
         d = len(cores)
         # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
         rights = [None] * (d + 1)
         rights[d] = np.ones((1, 1))
         for i in range(d - 1, 0, -1):
-            r0, n, r1 = cores[i].shape
-            rights[i] = (cores[i].reshape(r0 * n, r1) @ rights[i + 1]).reshape(r0, -1)
+            *lead, r0, n, r1 = cores[i].shape
+            right = cores[i].reshape(*lead, r0 * n, r1) @ rights[i + 1]
+            rights[i] = right.reshape(*lead, r0, n * right.shape[-1])
         # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
         # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
         grads = []
-        acc = grad.reshape(1, -1)
+        lead = cores[0].shape[:-3]
+        acc = grad.reshape(*lead, 1, math.prod(grad.shape[len(lead):]))
         for i, core in enumerate(cores):
-            r0, n, r1 = core.shape
-            acc = acc.reshape(r0 * n, -1)
-            grads.append((acc @ rights[i + 1].T).reshape(core.shape))
+            *lead, r0, n, r1 = core.shape
+            acc = acc.reshape(*lead, r0 * n, rights[i + 1].shape[-1])
+            grads.append((acc @ rights[i + 1].swapaxes(-1, -2)).reshape(core.shape))
             if i < d - 1:
-                acc = core.reshape(r0 * n, r1).T @ acc
+                acc = core.reshape(*lead, r0 * n, r1).swapaxes(-1, -2) @ acc
         return grads
 
     def _split_madds(self, shapes, n_row):
@@ -533,10 +538,8 @@ class _TT(_Format):
         return 3 * shapes[n_row][0] * (rows + cols)  # as for CP at rank r_b
 
     def split_forward(self, cores, n_row, x):
-        left = cores[0].reshape(cores[0].shape[1], -1)  # r_0 = 1
-        for core in cores[1:n_row]:
-            r0, n, r1 = core.shape
-            left = (left @ core.reshape(r0, n * r1)).reshape(-1, r1)
+        left = _tt_left(cores[:n_row])
+        left = left.reshape(-1, left.shape[-1])
         right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
         for core in reversed(cores[n_row:-1]):
             r0, n, r1 = core.shape
@@ -561,7 +564,8 @@ class _TTM(_TT):
     every core, so no row|col boundary falls between two cores (``n_row``
     equals the order) and the split rule never splits; W and its gradient
     are instead contracted through the bond that balances the merged sizes.
-    An embedding builds only its rows."""
+    An embedding builds only its rows, through the TT kernels on the cores'
+    row slices."""
 
     name = "ttm"
 
@@ -644,14 +648,38 @@ class _TTM(_TT):
         grads[-1] = g_b.reshape(cores[-1].shape)
         return grads
 
+    def _row_slices(self, cores, ids, row_dims):
+        """Each id's row digits, and each core's slices at them as
+        (U, r_{n-1}, J_n, r_n): one batch of TT cores, one TT per row."""
+        digits = np.unravel_index(ids, row_dims)
+        slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(cores, digits)]
+        return digits, slices
+
     def lookup_rows(self, table, points, idx):
+        """The unique ids' rows, each the TT full of its row slices."""
         unique, inverse = np.unique(idx, return_inverse=True)
-        digits = _digit_matrix(unique, table.row_dims)
-        rows = _ttm_rows(points, digits).reshape(unique.size, math.prod(table.col_dims))
-        return rows[inverse]
+        _, slices = self._row_slices(points, unique, table.row_dims)
+        return super().full(slices).reshape(unique.size, math.prod(table.col_dims))[inverse]
 
     def backprop_rows(self, table, points, idx, row_grads):
-        return _ttm_embedding_backprop(points, idx, row_grads, table.row_dims)
+        """Repeated ids' gradients are summed once, the TT sweep runs on the
+        unique ids' row slices, and a one-hot (I_n x U) GEMM adds each core's
+        per-id gradients into its I_n row slices, at a cost of
+        I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small."""
+        unique, inverse = np.unique(idx, return_inverse=True)
+        summed = np.zeros((unique.size, row_grads.shape[1]))
+        np.add.at(summed, inverse, row_grads)
+        digits, slices = self._row_slices(points, unique, table.row_dims)
+        per_id = super().backprop(slices, summed.reshape(unique.size, *table.col_dims))
+        grads = []
+        for core, d, g in zip(points, digits, per_id):
+            r_in, rows, cols, r_out = core.shape
+            one_hot = (d == np.arange(rows)[:, None]).astype(np.float64)
+            buf = one_hot @ g.reshape(unique.size, r_in * cols * r_out)
+            grads.append(
+                np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
+            )
+        return grads
 
 
 class _Formats(dict):
@@ -678,6 +706,18 @@ def _split(dims) -> int:
         range(1, max(len(dims), 2)),
         key=lambda s: max(math.prod(dims[:s]), math.prod(dims[s:])),
     )
+
+
+def _tt_left(cores):
+    """TT cores contracted over their bonds from the left: (…, I_0..I_k, r).
+    Axes before a core's last three are batch axes, one TT per entry."""
+    out = cores[0][..., 0, :, :]  # r_0 = 1
+    for core in cores[1:]:
+        *lead, r0, n, r1 = core.shape
+        modes = out.shape[len(lead):-1]
+        out = out.reshape(*lead, math.prod(modes), r0) @ core.reshape(*lead, r0, n * r1)
+        out = out.reshape(*lead, *modes, n, r1)
+    return out
 
 
 def _cp_side(mats, partial):
@@ -760,109 +800,6 @@ def _side_madds(dims, ranks):
         _chain_madds(dims, ranks, [m for m in range(k) if m != n]) for n in range(k - 1)
     )
     return projections + sum(dims) * math.prod(ranks)
-
-
-# -- TTM embedding rows -----------------------------------------------------------
-
-
-def _ttm_rows(cores, digits):
-    """Rows of a TTM table for the tokens whose digits are given: (U, E, 1).
-
-    Algorithm: a left-to-right sweep of batched GEMMs.  Each core's
-    row-digit slices are gathered once into a (U, r_{n-1}, J_n*r_n) stack,
-    and one ``np.matmul`` per core extends the running (U, P, r_{n-1})
-    contraction to (U, P*J_n, r_n), where U counts the tokens and P the
-    column entries built so far.
-    """
-    slices = (_row_slice(core, digits[:, n]) for n, core in enumerate(cores))
-    return _left_environments(slices, len(digits))[-1]
-
-
-def _row_slice(core, digits):
-    """A core's slices at one row digit per token: (U, r_{n-1}, J_n, r_n)."""
-    r_in, rows, cols, r_out = core.shape
-    flat = np.moveaxis(core, 1, 0).reshape(rows, r_in * cols * r_out)
-    return np.take(flat, digits, axis=0).reshape(len(digits), r_in, cols, r_out)
-
-
-def _left_environments(slices, tokens):
-    """Per-token contraction of the leading cores: entry n is (U, J_0..J_n, r_{n+1}).
-
-    The column modes are flattened into one axis in row-major order, so the
-    last entry, once its trailing rank 1 is dropped, holds the rows.
-    """
-    lefts = []
-    for s in slices:
-        _, r_in, cols, r_out = s.shape
-        step = s.reshape(tokens, r_in, cols * r_out)
-        if lefts:
-            step = np.matmul(lefts[-1], step)
-        lefts.append(step.reshape(tokens, step.shape[1] * cols, r_out))
-    return lefts
-
-
-def _digit_matrix(indices, dims):
-    """Mixed-radix digits of each index over ``dims``, most significant first."""
-    digits = np.empty((len(indices), len(dims)), dtype=np.int64)
-    rem = np.asarray(indices, dtype=np.int64).copy()
-    for i in range(len(dims) - 1, -1, -1):
-        digits[:, i] = rem % dims[i]
-        rem //= dims[i]
-    return digits
-
-
-def _ttm_embedding_backprop(cores, idx, row_grads, row_dims):
-    """Exact table gradients from per-row gradients, touching only seen tokens.
-
-    Equivalent to scattering ``row_grads`` into the dense table gradient and
-    backpropagating through the full reconstruction, but the chain runs per
-    unique token over the column modes only.
-
-    Algorithm: repeated ids are summed once (``np.add.at``, linear in the
-    batch).  Left and right environments of each core come from batched
-    GEMMs over the U unique tokens, and each core's per-token gradient from
-    two more: the left environment against the row gradient, then the
-    result against the right environment.  A one-hot (I_n x U) GEMM adds
-    the per-token gradients into the core's I_n row slices, at a cost of
-    I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small.
-    """
-    unique, inverse = np.unique(np.asarray(idx), return_inverse=True)
-    tokens = unique.size
-    summed = np.zeros((tokens, row_grads.shape[1]))
-    np.add.at(summed, inverse, row_grads)
-    digits = _digit_matrix(unique, row_dims)
-    slices = [_row_slice(core, digits[:, n]) for n, core in enumerate(cores)]
-    d = len(cores)
-    lefts = _left_environments(slices[:-1], tokens)
-    rights = [None] * d  # rights[n]: (U, r_n, J_n..J_{d-1}), for n >= 1
-    for n in range(d - 1, 0, -1):
-        _, r_in, cols, r_out = slices[n].shape
-        step = slices[n].reshape(tokens, r_in * cols, r_out)
-        if n < d - 1:
-            step = np.matmul(step, rights[n + 1])
-        rights[n] = step.reshape(tokens, r_in, cols * step.shape[2])
-
-    embed = summed.shape[1]
-    grads = []
-    for n, core in enumerate(cores):
-        r_in, rows, cols, r_out = core.shape
-        if n == 0:
-            mid = summed.reshape(tokens, cols, embed // cols)  # r_0 = 1
-        else:
-            left = lefts[n - 1]  # (U, J_0..J_{n-1}, r_n)
-            g = summed.reshape(tokens, left.shape[1], embed // left.shape[1])
-            mid = np.matmul(left.transpose(0, 2, 1), g)
-            mid = mid.reshape(tokens, r_in * cols, g.shape[2] // cols)
-        if n == d - 1:
-            per_token = mid  # (U, r_{d-1} J_{d-1}, 1)
-        else:
-            per_token = np.matmul(mid, rights[n + 1].transpose(0, 2, 1))
-        one_hot = (digits[:, n] == np.arange(rows)[:, None]).astype(np.float64)
-        buf = one_hot @ per_token.reshape(tokens, r_in * cols * r_out)
-        grads.append(
-            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
-        )
-    return grads
 
 
 # -- parameter counting, pruning, rank reporting -----------------------------
@@ -1007,11 +944,11 @@ def init_layer(
     fmt = FORMATS[kind]
     row_dims = [int(d) for d in row_dims]
     col_dims = [int(d) for d in col_dims]
+    fmt.check_dims(row_dims, col_dims)
     if fan_in is None:
         fan_in = math.prod(row_dims)
     if target_var is None:
         target_var = 2.0 / fan_in
-    fmt.check_dims(row_dims, col_dims)
     ranks = fmt.normalize_ranks(fmt.order(row_dims, col_dims), ranks)
     shapes = fmt.factor_shapes(row_dims, col_dims, ranks)
     # Every entry sums prod(ranks) products of one entry of each factor.

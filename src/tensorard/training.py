@@ -282,7 +282,13 @@ def predict_uncertainty(net: Network, inputs, num_samples: int, seed: int = 0):
     inputs = np.asarray(inputs)
     # The first layer takes batches of input_ndim dimensions (1-d token
     # ids, 2-d feature rows); one lower is a single input.
-    single = inputs.ndim == net.layers[0].input_ndim - 1
+    ndim = net.layers[0].input_ndim
+    if inputs.ndim not in (ndim - 1, ndim):
+        raise ValueError(f"inputs must be {ndim - 1}-d (one input) or {ndim}-d "
+                         f"(a batch), got {inputs.ndim}-d")
+    if inputs.dtype.kind == "f" and not np.isfinite(inputs).all():
+        raise ValueError("inputs must be finite")
+    single = inputs.ndim == ndim - 1
     if single:
         inputs = inputs[None]
     rng = np.random.default_rng(seed)

@@ -14,11 +14,10 @@ from tensorard.bayes import (
     layer_kl,
     optimal_rank_var_half_cauchy,
     optimal_rank_var_log_uniform,
-    rank_var_stats_all,
     sample_factors,
     update_rank_variances,
 )
-from tensorard.factorized import init_layer
+from tensorard.factorized import init_layer, rank_moments
 
 
 def lu_objective(lam, moment_sum, count):
@@ -161,7 +160,7 @@ class TestHalfCauchyUpdate:
 def rank_var_stats(layer, vec_index, entry_index):
     """(moment_sum, count) for one rank-variance entry, one slice at a time.
 
-    The per-entry oracle for :func:`bayes.rank_var_stats_all`: ``count`` is
+    The per-entry oracle for :func:`factorized.rank_moments`: ``count`` is
     the number of factor entries whose prior variance this entry controls,
     and ``moment_sum`` their total mean^2 + std^2.
     """
@@ -244,11 +243,11 @@ class TestRankVarStats:
             ("ttm", [3, 4], [2, 3], [3]),
         ]:
             layer = init_layer(kind, row, col, ranks, rng)
-            for v, (moments, counts) in enumerate(rank_var_stats_all(layer)):
+            for v, (moments, count) in enumerate(rank_moments(layer)):
                 for k in range(moments.size):
                     m, c = rank_var_stats(layer, v, k)
                     assert m == pytest.approx(float(moments[k]), rel=1e-12)
-                    assert c == int(counts[k])
+                    assert c == count
 
     def test_out_of_range_rejected(self):
         rng = np.random.default_rng(7)
@@ -367,14 +366,9 @@ class TestRankVarianceUpdate:
             layer = init_layer("tt", [3, 4], [5], [2, 3], rng)
             before = [v.copy() for v in layer.rank_variances]
             optima = []
-            for moments, counts in rank_var_stats_all(layer):
+            for moments, count in rank_moments(layer):
                 optima.append(
-                    np.array(
-                        [
-                            optimal_rank_var_log_uniform(float(m), int(c))
-                            for m, c in zip(moments, counts)
-                        ]
-                    )
+                    np.array([optimal_rank_var_log_uniform(float(m), count) for m in moments])
                 )
             update_rank_variances(layer, LogUniform(), step)
             for v, b, o in zip(layer.rank_variances, before, optima):
@@ -387,12 +381,10 @@ class TestRankVarianceUpdate:
         rng = np.random.default_rng(17)
         layer = init_layer("tucker", [3, 4], [5], [2, 2, 2], rng)
         update_rank_variances(layer, HalfCauchy(0.5), 1.0)
-        for v, (moments, counts) in zip(
-            layer.rank_variances, rank_var_stats_all(layer)
-        ):
+        for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer)):
             want = [
-                max(optimal_rank_var_half_cauchy(float(m), int(c), 0.5), 1e-12)
-                for m, c in zip(moments, counts)
+                max(optimal_rank_var_half_cauchy(float(m), count, 0.5), 1e-12)
+                for m in moments
             ]
             np.testing.assert_allclose(v, want, rtol=1e-12)
 
@@ -410,13 +402,12 @@ class TestRankVarianceUpdate:
         return (m - s2 * d + math.sqrt(disc)) / (2 * d + 2)
 
     def _loop_update(self, layer, prior, step):
-        for v, (moments, counts) in zip(layer.rank_variances, rank_var_stats_all(layer)):
+        for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer)):
             if isinstance(prior, HalfCauchy):
-                optima = [self._scalar_half_cauchy(float(m), int(c), prior.scale)
-                          for m, c in zip(moments, counts)]
+                optima = [self._scalar_half_cauchy(float(m), count, prior.scale)
+                          for m in moments]
             else:
-                optima = [self._scalar_log_uniform(float(m), int(c))
-                          for m, c in zip(moments, counts)]
+                optima = [self._scalar_log_uniform(float(m), count) for m in moments]
             v *= 1.0 - step
             v += step * np.array(optima)
             np.maximum(v, 1e-12, out=v)
@@ -440,13 +431,13 @@ class TestRankVarianceUpdate:
             update_rank_variances(layer, prior, step)
             for v, w in zip(layer.rank_variances, want.rank_variances):
                 np.testing.assert_array_equal(v, w)
-        for moments, counts in rank_var_stats_all(layer):
-            for m, c in zip(moments, counts):
-                got = prior.optimal_rank_var(float(m), int(c))
+        for moments, count in rank_moments(layer):
+            for m in moments:
+                got = prior.optimal_rank_var(float(m), count)
                 if isinstance(prior, HalfCauchy):
-                    assert got == self._scalar_half_cauchy(m, c, prior.scale)
+                    assert got == self._scalar_half_cauchy(m, count, prior.scale)
                 else:
-                    assert got == self._scalar_log_uniform(float(m), int(c))
+                    assert got == self._scalar_log_uniform(float(m), count)
 
     def test_rejects_bad_moments_or_counts_in_a_vector(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -437,6 +437,130 @@ class TestCorruptCheckpoint:
                 assert str(bad) in err and "Traceback" not in err, (name, err)
 
 
+def linear_checkpoint(path):
+    """A 4 -> 3 CP net saved at ``path``, untrained."""
+    from tensorard import checkpoint, network
+
+    net = network.build_network(
+        [{"type": "tensorized_linear", "format": "cp", "row_dims": [4],
+          "col_dims": [3], "max_rank": 2, "activation": "identity"}],
+        classes=3, rng=np.random.default_rng(0),
+    )
+    checkpoint.save_network(net, path)
+    return path
+
+
+class TestBadPredictInput:
+    """A predict input of the wrong order or with a non-finite feature exits 2
+    with a message, never a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "5", '"hello"', "[[[0.1, 0.2, 0.3, 0.4]]]", "[1e400, 0, 0, 0]",
+        "[NaN, 0, 0, 0]", "[[0.1, 0.2, 0.3, 0.4], [0, -1e400, 0, 0]]",
+    ], ids=["number", "string", "3-d", "inf", "nan", "-inf in a batch"])
+    def test_json_input_exits_two(self, tmp_path, capsys, text):
+        ck = linear_checkpoint(tmp_path / "lin.npz")
+        inp = tmp_path / "x.json"
+        inp.write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(ck), "--input", str(inp),
+                       "--samples", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: inputs must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("array", [np.array(5.0), np.array([0.1, np.nan, 0.3, 0.4])],
+                             ids=["0-d", "nan"])
+    def test_npy_input_exits_two(self, tmp_path, capsys, array):
+        ck = linear_checkpoint(tmp_path / "lin.npz")
+        np.save(tmp_path / "x.npy", array)
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(ck), "--input",
+                       str(tmp_path / "x.npy"), "--samples", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: inputs must be") and "Traceback" not in err
+
+    def test_a_token_id_is_one_input_of_an_embedding_net(self, tmp_path, capsys):
+        from tensorard import checkpoint
+
+        ck = tmp_path / "embed.npz"
+        checkpoint.save_network(embedding_net(), ck)
+        inp = tmp_path / "token.json"
+        inp.write_text("7")
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(ck), "--input", str(inp),
+                       "--samples", "4"])
+        assert rc == 0
+        assert np.asarray(json.loads(capsys.readouterr().out)["mean"]).shape == (3,)
+
+
+class TestCorruptDatasetHeader:
+    """Every ``--data`` header that is not the one ``save_dataset`` writes
+    exits 2 with a message naming the prefix, never a traceback."""
+
+    def _headers(self, good):
+        headers = {"a list": [good], "a string": "blob", "null": None, "a number": 3}
+        for key in good:
+            headers[f"no {key}"] = {k: v for k, v in good.items() if k != key}
+        for key in good:
+            for value in (None, "float", -1, 2.5, True, 10**30, [], [8], {"a": 1}):
+                # A class count above the labels' is a valid header.
+                if value != good[key] and (key, value) != ("classes", 10**30):
+                    headers[f"{key} {value!r}"] = {**good, key: value}
+        for shape in ([8], [4, 8], [32], [-8, -4], [2.0, 4], [10**30, 1], "8x4"):
+            headers[f"input_shape {shape!r}"] = {**good, "input_shape": shape}
+        return headers
+
+    def test_eval_exits_two(self, tmp_path, capsys):
+        from tensorard import datasets
+
+        ck = linear_checkpoint(tmp_path / "lin.npz")
+        rng = np.random.default_rng(1)
+        prefix = tmp_path / "blob"
+        datasets.save_dataset(
+            datasets.LabeledDataset(rng.standard_normal((8, 4)), rng.integers(0, 3, 8), 3),
+            prefix)
+        argv = ["eval", "--checkpoint", str(ck), "--data", str(prefix)]
+        assert cli.main(argv) == 0
+        header = prefix.with_suffix(".json")
+        good = json.loads(header.read_text())
+        for name, doc in self._headers(good).items():
+            header.write_text(json.dumps(doc))
+            capsys.readouterr()
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2, name
+            assert str(prefix) in err and "Traceback" not in err, (name, err)
+
+
+class TestLayersWithoutModes:
+    """A layer with no row and no column modes exits 2 in every format."""
+
+    @pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+    @pytest.mark.parametrize("layer", ["tensorized_linear", "embedding"])
+    def test_train_exits_two(self, tmp_path, capsys, kind, layer):
+        from tensorard import datasets
+
+        rng = np.random.default_rng(2)
+        inputs = rng.integers(0, 1, 8) if layer == "embedding" else rng.standard_normal((8, 1))
+        datasets.save_dataset(datasets.LabeledDataset(inputs, np.arange(8) % 3, 3),
+                              tmp_path / "blob")
+        first = {"type": layer, "format": kind, "row_dims": [], "col_dims": [],
+                 "max_rank": 1}
+        if layer == "tensorized_linear":
+            first.update(in_features=1, out_features=1)
+        spec = synthetic_runspec(tmp_path / "run", epochs=1)
+        spec["model"] = {"classes": 3, "layers": [
+            first, {"type": "plain_linear", "in_features": 1, "out_features": 3}]}
+        spec["data"] = {"kind": "blob", "train_prefix": str(tmp_path / "blob")}
+        capsys.readouterr()
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{kind} needs at least one mode" in err and "Traceback" not in err
+
+
 class TestSchemaPinned:
     """The run-spec schema stays in cli.py, which must not import numpy before
     --threads pins BLAS; this keeps its enums equal to the library's tables."""

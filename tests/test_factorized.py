@@ -353,6 +353,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="shapes"):
             FactorizedLayer("cp", [flat], [np.ones(1)], [3], [])
 
+    @pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+    @pytest.mark.parametrize("row,col", [([], []), ([3, 0], [2, 2]), ([3], [0])])
+    def test_no_modes_or_an_empty_mode_rejected(self, kind, row, col):
+        with pytest.raises(ValueError, match=f"{kind} needs at least one mode"):
+            init_layer(kind, row, col, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"{kind} needs at least one mode"):
+            factorized.FORMATS[kind].check_dims(row, col)
+
 
 class TestInit:
     @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)

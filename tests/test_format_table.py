@@ -8,9 +8,10 @@ reconstruction, its shape and its backprop, ``inferred_ranks``,
 true-rank caps, the embedding lookup and the embedding backward, and the
 kernels those call.  The current code looks each format up in
 ``factorized.FORMATS`` and must agree with them bit for bit: values,
-shapes, dtypes and the types of rank reports.  The one exception is the
-TTM reconstruction and its backprop, which now split at a bond and sum in
-another order; they must agree to 1e-12 relative.  Validation must accept and
+shapes, dtypes and the types of rank reports.  The exceptions are the TTM
+reconstruction and its backprop, which now split at a bond, and the TTM
+embedding backward, which now runs the TT sweep on the cores' row slices;
+both sum in another order and must agree to 1e-12 relative.  Validation must accept and
 reject the same inputs; where the table gives every format one rank-entry
 count message (CP's read "too many values to unpack"), only the exception
 type is compared.  Shape validation is compared in ``test_rank_axes.py``.
@@ -559,7 +560,7 @@ class TestMatchesReference:
         layer = _layer(case, 2)
         points = layer.point_means()
         same(factorized.reconstruct(kind, points), ref_reconstruct(kind, points))
-        shape = factorized.reconstruct_shape(kind, points)
+        shape = FORMATS[kind].shape(points)
         assert shape == ref_reconstruct_shape(kind, points)
         grad = np.random.default_rng(4).standard_normal(shape)
         got = factorized.backprop_reconstruction(kind, points, grad)
@@ -588,8 +589,12 @@ class TestMatchesReference:
             want, want_in = ref_embedding_backward(table, ids, g, points, False)
             assert got_in is want_in is None
             assert len(got) == len(want)
+            # The TT sweep over a TTM table's row slices contracts G with one
+            # slice at a time, where the reference first built the left
+            # environment, so tables of three or more cores sum in another order.
+            same = assert_close if layer.kind == "ttm" else assert_bitwise
             for a, b in zip(got, want):
-                assert_bitwise(a, b)
+                same(a, b)
 
 
 # -- validation -------------------------------------------------------------------

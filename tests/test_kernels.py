@@ -7,19 +7,21 @@ d-1 mode products per Tucker mode, and one full-gradient contraction per
 TT core; for TTM weights, the TT contraction and sweep over merged
 (I_n·J_n) modes with one transpose of W or of its gradient between the
 paired and the (rows..., cols...) layout; for TTM embeddings, per-token
-``np.einsum`` chains and ``np.add.at`` scatters; for linear layers, the pass that rebuilds W, runs
-the dense GEMMs and maps dW back onto the factors.  They call the current ``dense`` primitives and
-``factorized._digit_matrix``, which are checked on their own.  The kernels in
-``factorized`` and ``network`` sum in another order, so the two must agree
-to 1e-12 relative, not bit for bit.
+``np.einsum`` chains and ``np.add.at`` scatters over the tokens' mixed-radix
+row digits; for linear layers, the pass that rebuilds W, runs the dense GEMMs
+and maps dW back onto the factors.  They call the current ``dense``
+primitives, which are checked on their own.  The kernels in ``factorized``
+and ``network`` sum in another order, so the two must agree to 1e-12
+relative, not bit for bit.  A TTM embedding now runs the TT kernels on its
+cores' row slices, one TT per looked-up token, and is reached here through
+``embedding_lookup`` and ``Embedding.backward``.
 """
 
 import numpy as np
 import pytest
 
 from tensorard import dense, factorized
-from tensorard.factorized import _digit_matrix
-from tensorard.network import TensorizedLinear
+from tensorard.network import Embedding, TensorizedLinear, embedding_lookup
 
 REL_TOL = 1e-12
 
@@ -126,6 +128,16 @@ def _ttm_backprop(cores, grad):
     merged = [c.reshape(c.shape[0], c.shape[1] * c.shape[2], c.shape[3]) for c in cores]
     merged_grads = _tt_backprop(merged, merged_grad)
     return [g.reshape(c.shape) for g, c in zip(merged_grads, cores)]
+
+
+def _digit_matrix(indices, dims):
+    """Mixed-radix digits of each index over ``dims``, most significant first."""
+    digits = np.empty((len(indices), len(dims)), dtype=np.int64)
+    rem = np.asarray(indices, dtype=np.int64).copy()
+    for i in range(len(dims) - 1, -1, -1):
+        digits[:, i] = rem % dims[i]
+        rem //= dims[i]
+    return digits
 
 
 def _ttm_rows(cores, digits):
@@ -246,7 +258,7 @@ def assert_close(got, want):
 
 
 def check_kernel(kind, factors, rng, layout):
-    shape = factorized.reconstruct_shape(kind, factors)
+    shape = factorized.FORMATS[kind].shape(factors)
     grad = rng.standard_normal(shape)
     if layout == "transposed":
         grad = transposed_view(grad)
@@ -324,7 +336,7 @@ def test_ttm_gradients_match_central_differences(dims, ranks, s):
     assert factorized._split([i * j for i, j in dims]) == s
     rng = np.random.default_rng(len(dims))
     cores = [c * 0.5 for c in random_factors("ttm", dims, ranks, rng)]
-    g = rng.standard_normal(factorized.reconstruct_shape("ttm", cores))
+    g = rng.standard_normal(factorized.FORMATS["ttm"].shape(cores))
     grads = factorized.backprop_reconstruction("ttm", cores, g)
     # The inner product is linear in each single entry, so the difference
     # has no truncation error and h only sets the roundoff.
@@ -367,13 +379,16 @@ def check_embedding_kernels(row_dims, col_dims, ranks, idx, rng):
     dims = list(zip(row_dims, col_dims))
     cores = random_factors("ttm", dims, ranks, rng)
     grads = rng.standard_normal((idx.size, int(np.prod(col_dims))))
-    unique = np.unique(idx)
+    # The table supplies the dims; the rows and gradients are the cores'.
+    layer = factorized.init_layer("ttm", row_dims, col_dims, ranks, np.random.default_rng(0))
+    table = Embedding(layer, int(np.prod(row_dims)), int(np.prod(col_dims)))
+    unique, inverse = np.unique(idx, return_inverse=True)
     digits = _digit_matrix(unique, row_dims)
-    want_rows = _ttm_rows(cores, digits).reshape(unique.size, -1)
-    got_rows = factorized._ttm_rows(cores, digits).reshape(unique.size, -1)
-    assert_close(got_rows, want_rows)
+    want_rows = _ttm_rows(cores, digits).reshape(unique.size, -1)[inverse]
+    assert_close(embedding_lookup(layer, cores, idx), want_rows)
     want = _ttm_embedding_backprop(cores, idx, grads, row_dims)
-    got = factorized._ttm_embedding_backprop(cores, idx, grads, row_dims)
+    got, no_in = table.backward(idx, grads, cores, False)
+    assert no_in is None
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert_close(g, w)
@@ -416,6 +431,45 @@ def test_embedding_kernels_match_reference_on_edge_cases(case):
     row_dims, col_dims, ranks, make_ids = EMBEDDING_CASES[case]
     rng = np.random.default_rng(case)
     check_embedding_kernels(row_dims, col_dims, ranks, make_ids(rng), rng)
+
+
+# (kind, row_dims, col_dims, ranks): each format's table, a TTM one of three
+# cores so the TT sweep over its row slices runs an interior core.
+EMBEDDING_FD_CASES = [
+    ("cp", [3, 4], [2, 3], 3),
+    ("tucker", [3, 4], [2, 3], [2, 3, 2, 2]),
+    ("tt", [3, 4], [2, 3], [2, 3, 2]),
+    ("ttm", [2, 3, 2], [2, 1, 3], [2, 3]),
+]
+
+
+@pytest.mark.parametrize("kind,row_dims,col_dims,ranks", EMBEDDING_FD_CASES)
+def test_embedding_gradients_match_central_differences(kind, row_dims, col_dims, ranks):
+    """Criterion 5 for the embedding backward: every factor entry's gradient
+    of <lookup(ids), G> against a central difference, on a batch that
+    repeats ids."""
+    rng = np.random.default_rng(len(kind))
+    layer = factorized.init_layer(kind, row_dims, col_dims, ranks, rng)
+    table = Embedding(layer, int(np.prod(row_dims)), int(np.prod(col_dims)))
+    points = [rng.standard_normal(f.shape) * 0.5 for f in layer.factors]
+    ids = np.array([0, 5, 5, 11, 0, 7, 5])
+    g = rng.standard_normal((ids.size, table.embed_dim))
+    grads, _ = table.backward(ids, g, points, False)
+    # The inner product is linear in each single entry, so the difference
+    # has no truncation error and h only sets the roundoff.
+    h = 1e-3
+    for point, grad in zip(points, grads):
+        flat, grad_flat = point.reshape(-1), grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = float(np.sum(embedding_lookup(layer, points, ids) * g))
+            flat[j] = orig - h
+            down = float(np.sum(embedding_lookup(layer, points, ids) * g))
+            flat[j] = orig
+            numeric = (up - down) / (2 * h)
+            rel = abs(numeric - grad_flat[j]) / max(abs(numeric), abs(grad_flat[j]), 1e-8)
+            assert rel < 1e-6
 
 
 # -- linear layers through the row|col split --------------------------------------

@@ -270,8 +270,6 @@ class TestEmbedding:
             embedding_lookup(table, table.point_means(), np.array([24]))
 
     def test_sparse_ttm_backprop_equals_dense_scatter(self):
-        from tensorard.factorized import _ttm_embedding_backprop
-
         rng = np.random.default_rng(30)
         for _ in range(10):
             d = int(rng.integers(2, 5))
@@ -289,14 +287,13 @@ class TestEmbedding:
             ref = factorized.backprop_reconstruction(
                 "ttm", points, dense.reshape(table.tensor_dims)
             )
-            fast = _ttm_embedding_backprop(points, idx, g, row_dims)
+            fast = factorized.FORMATS["ttm"].backprop_rows(table, points, idx, g)
             for a, b in zip(ref, fast):
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("cores", [9, 10])
     def test_ttm_table_with_more_than_eight_cores(self, cores):
         from tensorard.datasets import LabeledDataset
-        from tensorard.factorized import _ttm_embedding_backprop
         from tensorard.training import TrainConfig, train
 
         row_dims, col_dims = [2] * cores, [1] * (cores - 2) + [2, 2]
@@ -311,7 +308,7 @@ class TestEmbedding:
         ref = factorized.backprop_reconstruction(
             "ttm", points, dense.reshape(table.tensor_dims)
         )
-        fast = _ttm_embedding_backprop(points, idx, g, row_dims)
+        fast, _ = Embedding(table, n_tok, 4).backward(idx, g, points, False)
         for a, b in zip(ref, fast):
             np.testing.assert_allclose(a, b, atol=1e-12)
 

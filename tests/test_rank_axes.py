@@ -269,8 +269,11 @@ class TestMatchesReference:
             assert type(gc) is type(wc) and gc == wc
 
     def test_rank_var_stats_all(self, config):
+        """The per-entry (moments, counts) vectors the rank-variance update
+        reads, built from ``rank_moments`` as the update builds them."""
         layer = _layer(config, np.random.default_rng(3))
-        got = bayes.rank_var_stats_all(layer)
+        got = [(m, np.full(m.shape, c, dtype=np.int64))
+               for m, c in factorized.rank_moments(layer)]
         for (gm, gc), (wm, wc) in zip(got, ref_moments_and_counts(layer)):
             assert_bitwise(gm, wm)
             assert_bitwise(gc, np.full(wm.shape, wc, dtype=np.int64))

@@ -12,7 +12,9 @@ arithmetic to each entry, and every mean, std and rank variance must agree
 bit for bit.  The CP and TT ``tensorized_linear`` layers here (12 -> 6 at
 rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
 another order; for those four cases the arrays must agree to 1e-12
-relative.
+relative.  The reference's TTM embedding branch calls the current
+``FORMATS["ttm"].backprop_rows``, whose own references are in
+``test_format_table.py`` and ``test_kernels.py``.
 """
 
 import copy
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from tensorard import bayes, factorized, training
-from tensorard.factorized import SIGMA_FLOOR, _ttm_embedding_backprop
+from tensorard.factorized import FORMATS, SIGMA_FLOOR
 from tensorard.network import (
     Embedding,
     PlainLinear,
@@ -152,9 +154,7 @@ def backward(self, cache, labels):
         if isinstance(layer, Embedding):
             idx = entry["indices"]
             if layer.table.kind == "ttm":
-                fgrads = _ttm_embedding_backprop(
-                    draw.points, idx, g, layer.table.row_dims
-                )
+                fgrads = FORMATS["ttm"].backprop_rows(layer.table, draw.points, idx, g)
             else:
                 table_grad = np.zeros((layer.num_tokens, layer.embed_dim))
                 np.add.at(table_grad, idx, g)

@@ -122,15 +122,15 @@ class TestTrain:
     def test_rank_update_is_convex_combination(self):
         net, data = toy_problem()
         fl = net.factorized_layers()[0][1]
-        from tensorard.bayes import rank_var_stats_all, update_rank_variances
+        from tensorard.bayes import update_rank_variances
+        from tensorard.factorized import rank_moments
 
         for step in (0.0, 0.25, 1.0):
             current = [v.copy() for v in fl.rank_variances]
             optima = []
-            for m, c in rank_var_stats_all(fl):
+            for m, c in rank_moments(fl):
                 optima.append(np.array([
-                    LogUniform().optimal_rank_var(float(mm), int(cc))
-                    for mm, cc in zip(m, c)
+                    LogUniform().optimal_rank_var(float(mm), c) for mm in m
                 ]))
             update_rank_variances(fl, LogUniform(), step)
             for v, cur, opt in zip(fl.rank_variances, current, optima):

@@ -1,12 +1,15 @@
-"""Golden runs: digests of 20 short `tensorard train` runs, for refactor gates.
+"""Golden runs: digests of 21 short `tensorard train` runs, for refactor gates.
 
 Each format (cp, tucker, tt, ttm) trains as a two-layer linear net and as an
 embedding + plain-head net, under LogUniform and HalfCauchy(0.3) hyper-priors,
 pruning at 0.08.  Each format also trains one linear net whose first layer has
 three row modes, a per-entry ``max_ranks`` list and synthetic data drawn at a
-per-entry ``true_rank`` list, under LogUniform.  For every run the script prints the return code and SHA-256
-digests of ``metrics.csv``, ``ranks.json``, the report less its wall time, and
-every array of ``checkpoint_final.npz`` (``meta`` included), one per line.
+per-entry ``true_rank`` list, under LogUniform.  One more run trains a TTM
+embedding table of three cores, under LogUniform; every token batch repeats
+ids, so its backward sums repeated rows and runs an interior core.  For
+every run the script prints the return code and SHA-256 digests of
+``metrics.csv``, ``ranks.json``, the report less its wall time, and every
+array of ``checkpoint_final.npz`` (``meta`` included), one per line.
 
 A refactor that must not change any number runs this once on the old tree and
 once on the new one, and the two outputs must be identical:
@@ -92,6 +95,12 @@ def embedding_spec(fmt, out):
     return {"classes": 3, "layers": [emb, {"type": "plain_linear",
             "in_features": 6, "out_features": 3}]}, {
         "kind": "blob", "train_prefix": str(out / "tokens")}
+
+
+def embedding3_spec(fmt, out):
+    model, data = embedding_spec(fmt, out)
+    model["layers"][0].update(row_dims=[2, 2, 5], col_dims=[2, 3, 1])
+    return model, data
 
 
 def digest(data: bytes) -> str:
@@ -183,6 +192,7 @@ def main(argv):
             for net, make in (("linear", linear_spec), ("embed", embedding_spec))
             for pname in PRIORS]
     runs += [(fmt, "linear3", rank_list_spec, "lu") for fmt in RANK_LISTS]
+    runs += [("ttm", "embed3", embedding3_spec, "lu")]
     for fmt, net, make, pname in runs:
         name = f"{fmt}-{net}-{pname}"
         model, data = make(fmt, out)
