@@ -265,24 +265,14 @@ def _load_data(data_cfg):
 
 
 def _train_config(train_cfg, seed_override=None):
+    """The spec's ``train`` mapping as a TrainConfig, whose fields it names."""
     from . import bayes, training
 
-    prior = bayes.hyper_prior_from_config(
-        train_cfg.get("hyper_prior", {"kind": "log_uniform"})
-    )
-    kwargs = dict(
-        learning_rate=train_cfg.get("learning_rate", 1e-3),
-        rank_step=train_cfg.get("rank_step", 0.05),
-        prune_threshold=train_cfg.get("prune_threshold", 1e-5),
-        epochs=train_cfg["epochs"],
-        warmup_epochs=train_cfg.get("warmup_epochs"),
-        batch_size=train_cfg["batch_size"],
-        hyper_prior=prior,
-        weak_prior_std=train_cfg.get("weak_prior_std", 1.0),
-        seed=train_cfg.get("seed", 0) if seed_override is None else seed_override,
-        mode=train_cfg.get("mode", "ard"),
-        init_std_ratio=train_cfg.get("init_std_ratio", 0.05),
-    )
+    kwargs = dict(train_cfg)
+    if "hyper_prior" in kwargs:
+        kwargs["hyper_prior"] = bayes.hyper_prior_from_config(kwargs["hyper_prior"])
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
     return training.TrainConfig(**kwargs)
 
 
@@ -295,27 +285,26 @@ def ranks_payload(net, threshold):
     layers = []
     for idx, fl in net.factorized_layers():
         vectors = []
-        for v in fl.rank_variances:
+        for v, surviving in zip(fl.rank_variances, factorized.surviving_counts(fl, threshold)):
             log10 = np.log10(v)
             edges = list(range(-12, 2))
             hist, _ = np.histogram(log10, bins=edges)
             vectors.append(
                 {
                     "values": [float(x) for x in v],
-                    "surviving": int(np.count_nonzero(v >= threshold)),
+                    "surviving": surviving,
                     "log10_histogram": {
                         "bin_edges": edges,
                         "counts": [int(c) for c in hist],
                     },
                 }
             )
-        ranks = factorized.inferred_ranks(fl, threshold)
         layers.append(
             {
                 "layer": idx,
                 "kind": fl.kind,
-                "max_ranks": fl.max_ranks if isinstance(fl.max_ranks, int) else list(fl.max_ranks),
-                "inferred_ranks": ranks if isinstance(ranks, int) else list(ranks),
+                "max_ranks": factorized.json_ranks(fl.max_ranks),
+                "inferred_ranks": factorized.json_ranks(factorized.inferred_ranks(fl, threshold)),
                 "rank_variances": vectors,
             }
         )

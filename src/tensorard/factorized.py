@@ -36,6 +36,8 @@ __all__ = [
     "param_count_at_max_ranks",
     "prune",
     "inferred_ranks",
+    "surviving_counts",
+    "json_ranks",
     "prior_variance_arrays",
     "rank_moments",
     "init_layer",
@@ -859,10 +861,14 @@ def inferred_ranks(layer: FactorizedLayer, threshold: float):
     Returns an int for CP, a per-mode tuple for Tucker, and the full bond
     tuple ``(1, r_1, ..., r_{d-1}, 1)`` for TT/TTM.
     """
+    return layer.format.report(surviving_counts(layer, threshold))
+
+
+def surviving_counts(layer: FactorizedLayer, threshold: float) -> list:
+    """How many entries of each rank-variance vector reach ``threshold``."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    counts = [int(np.count_nonzero(v >= threshold)) for v in layer.rank_variances]
-    return layer.format.report(counts)
+    return [int(np.count_nonzero(v >= threshold)) for v in layer.rank_variances]
 
 
 def prior_variance_arrays(layer: FactorizedLayer, weak_prior_var: float) -> list:
@@ -971,15 +977,18 @@ def init_layer(
 # -- serialization -----------------------------------------------------------
 
 
+def json_ranks(ranks):
+    """Ranks as JSON holds them: an int (CP) as is, else a list of ints."""
+    return ranks if isinstance(ranks, int) else list(ranks)
+
+
 def layer_state(layer: FactorizedLayer):
     """Split a layer into JSON-safe metadata and a dict of flat arrays."""
     meta = {
         "kind": layer.kind,
         "row_dims": list(layer.row_dims),
         "col_dims": list(layer.col_dims),
-        "max_ranks": layer.max_ranks
-        if isinstance(layer.max_ranks, int)
-        else list(layer.max_ranks),
+        "max_ranks": json_ranks(layer.max_ranks),
         "factor_shapes": [list(f.shape) for f in layer.factors],
     }
     arrays = {}

@@ -303,6 +303,8 @@ class Embedding:
     @classmethod
     def from_config(cls, cfg, rng, std_ratio):
         row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
+        # Checked here too: the target variance below divides by prod(col_dims).
+        factorized.FORMATS[cfg["format"]].check_dims(row_dims, col_dims)
         table = factorized.init_layer(
             cfg["format"], row_dims, col_dims, cfg.get("max_ranks", cfg.get("max_rank")),
             rng, target_var=1.0 / math.prod(col_dims), std_ratio=std_ratio,

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bayes, checkpoint, datasets, factorized, network
-from .factorized import RANK_VAR_FLOOR, SIGMA_FLOOR
+from .factorized import SIGMA_FLOOR
 from .network import Network
 
 __all__ = [
@@ -101,22 +100,7 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def to_json_dict(self):
-        return {
-            "epochs": self.epochs,
-            "loss": self.loss,
-            "nll": self.nll,
-            "kl": self.kl,
-            "beta": self.beta,
-            "train_acc": self.train_acc,
-            "test_acc": self.test_acc,
-            "rank_columns": self.rank_columns,
-            "ranks": self.ranks,
-            "final_ranks": self.final_ranks,
-            "params_before_prune": self.params_before_prune,
-            "params_after_prune": self.params_after_prune,
-            "dense_params": self.dense_params,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     def csv_rows(self):
         """Stable column layout: epoch, loss, nll, kl, beta, accuracies, ranks."""
@@ -182,71 +166,81 @@ def _find_bad_layer(net, logits):
     return "unknown"
 
 
-def _rank_snapshot(net, threshold):
-    """Per-vector surviving-rank counts, flattened across layers."""
-    counts, columns = [], []
-    for idx, layer in net.factorized_layers():
-        for v, vec in enumerate(layer.rank_variances):
-            counts.append(int(np.count_nonzero(vec >= threshold)))
-            columns.append(f"rank_l{idx}_v{v}")
-    return counts, columns
+def _train_step(net, data, idx, rng, config, beta, epoch, batch):
+    """One minibatch ``idx`` of ``data``: one joint factor sample, a gradient
+    step on N*meanNLL + beta*kl_total, then (in "ard" mode) the incremental
+    closed-form rank-variance update.
+
+    Returns the batch's (loss, nll, kl).  Raises TrainingDiverged, placed at
+    ``epoch`` and ``batch``, before any parameter moves on a non-finite loss.
+    """
+    n_data = len(data)
+    x, y = data.inputs[idx], data.labels[idx]
+    state = net.sample(rng)
+    logits, cache = net.forward(x, sample=state, want_cache=True)
+    batch_nll = network.nll_multinomial(logits, y)
+    batch_kl = net.kl_total(config.hyper_prior, config.weak_prior_std)
+    loss = n_data * batch_nll + beta * batch_kl
+    if not np.isfinite(loss):
+        raise TrainingDiverged(epoch, batch, _find_bad_layer(net, logits))
+    like = net.backward(cache, y)
+    klg = net.kl_gradients(config.weak_prior_std)
+    _step_network(net, like, klg, config.learning_rate, n_data, beta)
+    if config.mode == "ard" and config.rank_step > 0.0:
+        for _, fl in net.factorized_layers():
+            bayes.update_rank_variances(fl, config.hyper_prior, config.rank_step)
+    return loss, batch_nll, batch_kl
+
+
+def _end_epoch(net, report, config, epoch, beta, steps, data, test_data, out_path):
+    """Append one epoch's row to ``report`` and, when ``out_path`` is set,
+    write ``checkpoint_last.npz`` there.
+
+    ``steps`` holds the (loss, nll, kl) of each of the epoch's batches; the
+    row takes their means, the accuracies and the surviving rank counts.
+    """
+    losses, nlls, kls = zip(*steps)
+    epoch_kl = float(np.mean(kls))
+    if not np.isfinite(epoch_kl):
+        raise TrainingDiverged(epoch, "epoch-end", _find_bad_layer(net, None))
+    report.epochs.append(epoch)
+    report.loss.append(float(np.mean(losses)))
+    report.nll.append(float(np.mean(nlls)))
+    report.kl.append(epoch_kl)
+    report.beta.append(beta)
+    report.train_acc.append(evaluate(net, data))
+    report.test_acc.append(evaluate(net, test_data) if test_data is not None else None)
+    report.ranks.append([c for _, fl in net.factorized_layers()
+                         for c in factorized.surviving_counts(fl, config.prune_threshold)])
+    if out_path is not None:
+        checkpoint.save_network(net, out_path / "checkpoint_last.npz")
 
 
 def train(net: Network, data, config: TrainConfig, test_data=None, out_dir=None):
     """Run the full loop and prune; returns (net, TrainReport).
 
-    Per batch: one joint factor sample, a gradient step on
-    N*meanNLL + beta*kl_total, then (in "ard" mode) the incremental
-    closed-form rank-variance update.  Pruning happens once, at the end.
-    Deterministic for a fixed config seed.
+    Each batch is one :func:`_train_step` and each epoch closes with
+    :func:`_end_epoch`.  Pruning happens once, at the end.  Deterministic
+    for a fixed config seed.
     """
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    n_data = len(data)
-    prior = config.hyper_prior
     report = TrainReport()
-    _, report.rank_columns = _rank_snapshot(net, config.prune_threshold)
+    report.rank_columns = [f"rank_l{i}_v{v}" for i, fl in net.factorized_layers()
+                           for v in range(len(fl.rank_variances))]
     report.params_before_prune = net.param_count()
     report.dense_params = net.dense_param_count()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+    betas = [0.0 if config.mode == "fixed_rank" else kl_weight(epoch, config.warmup_epochs)
+             for epoch in range(1, config.epochs + 1)]
 
-    for epoch in range(1, config.epochs + 1):
-        beta = 0.0 if config.mode == "fixed_rank" else kl_weight(epoch, config.warmup_epochs)
-        losses, nlls, kls = [], [], []
-        for b, idx in enumerate(datasets.batches(data, config.batch_size, [config.seed, epoch])):
-            x, y = data.inputs[idx], data.labels[idx]
-            state = net.sample(rng)
-            logits, cache = net.forward(x, sample=state, want_cache=True)
-            batch_nll = network.nll_multinomial(logits, y)
-            batch_kl = net.kl_total(prior, config.weak_prior_std)
-            loss = n_data * batch_nll + beta * batch_kl
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, b, _find_bad_layer(net, logits))
-            like = net.backward(cache, y)
-            klg = net.kl_gradients(config.weak_prior_std)
-            _step_network(net, like, klg, config.learning_rate, n_data, beta)
-            if config.mode == "ard" and config.rank_step > 0.0:
-                for _, fl in net.factorized_layers():
-                    bayes.update_rank_variances(fl, prior, config.rank_step)
-            losses.append(loss)
-            nlls.append(batch_nll)
-            kls.append(batch_kl)
-        epoch_kl = float(np.mean(kls))
-        if not np.isfinite(epoch_kl):
-            raise TrainingDiverged(epoch, "epoch-end", _find_bad_layer(net, None))
-        report.epochs.append(epoch)
-        report.loss.append(float(np.mean(losses)))
-        report.nll.append(float(np.mean(nlls)))
-        report.kl.append(epoch_kl)
-        report.beta.append(beta)
-        report.train_acc.append(evaluate(net, data))
-        report.test_acc.append(evaluate(net, test_data) if test_data is not None else None)
-        counts, _ = _rank_snapshot(net, config.prune_threshold)
-        report.ranks.append(counts)
-        if out_path is not None:
-            checkpoint.save_network(net, out_path / "checkpoint_last.npz")
+    for epoch, beta in enumerate(betas, start=1):
+        steps = [_train_step(net, data, idx, rng, config, beta, epoch, b)
+                 for b, idx in enumerate(datasets.batches(data, config.batch_size,
+                                                          [config.seed, epoch]))]
+        _end_epoch(net, report, config, epoch, beta, steps, data, test_data, out_path)
 
     for _, fl in net.factorized_layers():
         pruned = factorized.prune(fl, config.prune_threshold)
@@ -266,10 +260,11 @@ def evaluate(net: Network, data, chunk: int = 4096) -> float:
     """Posterior-mean accuracy; argmax ties resolve to the lowest class index."""
     if data is None or len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    labels = network._check_labels(data.labels, net.classes)
     hits = 0
     for start in range(0, len(data), chunk):
         x = data.inputs[start : start + chunk]
-        y = data.labels[start : start + chunk]
+        y = labels[start : start + chunk]
         logits = net.forward(x)
         hits += int((np.argmax(logits, axis=1) == y).sum())
     return hits / len(data)

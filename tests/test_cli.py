@@ -171,6 +171,22 @@ class TestEvalCommand:
         assert "accuracy" in text
         assert "compression ratio" in text
 
+    def test_eval_labels_beyond_the_net_classes_exit_two(self, tmp_path, capsys):
+        from tensorard import datasets
+
+        out = tmp_path / "run"
+        assert cli.main(["train", "--spec", str(write_spec(tmp_path, synthetic_runspec(out)))]) == 0
+        rng = np.random.default_rng(3)
+        datasets.save_dataset(
+            datasets.LabeledDataset(rng.standard_normal((10, 4)), np.arange(10), 10),
+            tmp_path / "blob")
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(out / "checkpoint_final.npz"),
+                       "--data", str(tmp_path / "blob")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "label out of range" in err and "Traceback" not in err
+
     def test_eval_without_data_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         spec_path = write_spec(tmp_path, synthetic_runspec(out))
@@ -587,3 +603,18 @@ class TestSchemaPinned:
         assert len(enums) == 3
         for enum in enums:
             assert tuple(enum) == factorized.KINDS
+
+    def test_train_keys_are_the_train_config_fields(self):
+        # _train_config passes the mapping straight to TrainConfig, so every
+        # default is TrainConfig's.
+        import dataclasses
+
+        from tensorard import bayes, training
+
+        keys = cli.RUNSPEC_SCHEMA["properties"]["train"]["properties"]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(training.TrainConfig))
+        required = {"epochs": 4, "batch_size": 8}
+        assert cli._train_config(required) == training.TrainConfig(**required)
+        cfg = cli._train_config({**required, "seed": 1,
+                                 "hyper_prior": {"kind": "half_cauchy", "scale": 0.2}}, 9)
+        assert cfg.seed == 9 and cfg.hyper_prior == bayes.HalfCauchy(0.2)

@@ -290,6 +290,16 @@ class TestInferredRanks:
         layer = random_layer("tucker", [3, 4], [5], [2, 3, 2], seed=9)
         assert inferred_ranks(layer, 1e-12) == (2, 3, 2)
 
+    def test_surviving_counts_one_per_vector(self):
+        layer = random_layer("tucker", [3, 4], [5], [2, 3, 2], seed=9)
+        layer.rank_variances[0][:] = [1e-9, 1.0]
+        layer.rank_variances[1][:] = [1.0, 1e-9, 2.0]
+        assert factorized.surviving_counts(layer, 1e-4) == [1, 2, 2]
+        assert factorized.json_ranks(inferred_ranks(layer, 1e-4)) == [1, 2, 2]
+        assert factorized.json_ranks(4) == 4
+        with pytest.raises(ValueError, match="positive"):
+            factorized.surviving_counts(layer, 0.0)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)

@@ -242,6 +242,13 @@ class TestEmbedding:
         rng = np.random.default_rng(seed)
         return init_layer(kind, [4, 6], [2, 4], ranks, rng, target_var=1.0)
 
+    @pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+    def test_from_config_rejects_an_empty_column_mode(self, kind):
+        # The table's target variance divides by prod(col_dims).
+        cfg = {"format": kind, "row_dims": [4], "col_dims": [0], "max_rank": 1}
+        with pytest.raises(ValueError, match=f"{kind} needs at least one mode"):
+            Embedding.from_config(cfg, np.random.default_rng(0), 0.05)
+
     def test_lookup_selects_rows(self):
         table = self.make_table(kind="cp", ranks=4)
         points = table.point_means()

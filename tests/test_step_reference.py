@@ -3,8 +3,9 @@
 The reference below is the earlier step, kept verbatim: ``LayerSample`` and
 ``LayerGrads`` records, and ``Network.sample``, ``forward``, ``backward``,
 ``kl_gradients`` and ``training._step_network`` with one branch per layer
-type (written here as functions of the network).  The current code runs one
-loop over each layer's list of Gaussians.  Both draw the same noise in the
+type (written here as functions of the network).  The current step is the
+library's ``training._train_step``, which runs one loop over each layer's
+list of Gaussians.  Both draw the same noise in the
 same order, so after k steps both generators must be in the same state.
 
 Where the current step builds W as the reference does, it applies the same
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 
 from tensorard import bayes, factorized, training
+from tensorard.datasets import LabeledDataset
 from tensorard.factorized import FORMATS, SIGMA_FLOOR
 from tensorard.network import (
     Embedding,
@@ -260,13 +262,12 @@ def reference_step(net, x, y, rng, lr, n_data, beta, weak_prior_std, prior, rank
 
 
 def current_step(net, x, y, rng, lr, n_data, beta, weak_prior_std, prior, rank_step):
-    state = net.sample(rng)
-    _, cache = net.forward(x, sample=state, want_cache=True)
-    like = net.backward(cache, y)
-    klg = net.kl_gradients(weak_prior_std)
-    training._step_network(net, like, klg, lr, n_data, beta)
-    for _, fl in net.factorized_layers():
-        bayes.update_rank_variances(fl, prior, rank_step)
+    # The library step takes N from the dataset, so the batch is all of it.
+    data = LabeledDataset(x, y, net.classes)
+    assert len(data) == n_data
+    config = training.TrainConfig(learning_rate=lr, rank_step=rank_step,
+                                  weak_prior_std=weak_prior_std, hyper_prior=prior)
+    training._train_step(net, data, np.arange(n_data), rng, config, beta, 1, 0)
 
 
 # -- cases ----------------------------------------------------------------------

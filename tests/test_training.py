@@ -196,6 +196,67 @@ class TestTrain:
         assert np.all(np.isfinite(report.kl))
 
 
+class TestStepAndEpochEnd:
+    """train() is its setup, one _train_step per batch, one _end_epoch per
+    epoch and the final prune: a hand loop over the two retraces it."""
+
+    COLUMNS = ("epochs", "loss", "nll", "kl", "beta", "train_acc", "test_acc", "ranks")
+
+    @pytest.mark.parametrize("mode", ["ard", "fixed_rank"])
+    @pytest.mark.parametrize("with_test", [False, True], ids=["no_test", "test"])
+    def test_hand_loop_matches_train(self, tmp_path, monkeypatch, mode, with_test):
+        net, data = toy_problem(seed=2, num=200)
+        train_data = data.subset(slice(0, 150))
+        test_data = data.subset(slice(150, None)) if with_test else None
+        cfg = TrainConfig(epochs=3, batch_size=40, learning_rate=2e-3, rank_step=0.2,
+                          prune_threshold=1e-9, seed=5, mode=mode)
+        hand = copy.deepcopy(net)
+
+        # Record the generator every Network.sample call draws from.
+        drawn_from = []
+        sample = network.Network.sample
+        monkeypatch.setattr(network.Network, "sample",
+                            lambda self, rng: drawn_from.append(rng) or sample(self, rng))
+        _, report = train(net, train_data, cfg, test_data=test_data,
+                          out_dir=tmp_path / "train")
+        per_epoch = len(datasets.batches(train_data, cfg.batch_size, [cfg.seed, 1]))
+        assert len(drawn_from) == cfg.epochs * per_epoch
+        assert all(g is drawn_from[0] for g in drawn_from)
+
+        rng = np.random.default_rng(cfg.seed)
+        hand_report = training.TrainReport()
+        (tmp_path / "hand").mkdir()
+        for epoch in range(1, cfg.epochs + 1):
+            beta = 0.0 if mode == "fixed_rank" else kl_weight(epoch, cfg.warmup_epochs)
+            batches = datasets.batches(train_data, cfg.batch_size, [cfg.seed, epoch])
+            steps = [training._train_step(hand, train_data, idx, rng, cfg, beta, epoch, b)
+                     for b, idx in enumerate(batches)]
+            training._end_epoch(hand, hand_report, cfg, epoch, beta, steps, train_data,
+                                test_data, tmp_path / "hand")
+
+        assert rng.bit_generator.state == drawn_from[0].bit_generator.state
+        for column in self.COLUMNS:
+            assert getattr(hand_report, column) == getattr(report, column), column
+        assert (hand_report.test_acc[0] is None) == (not with_test)
+        with np.load(tmp_path / "train" / "checkpoint_last.npz") as want, \
+                np.load(tmp_path / "hand" / "checkpoint_last.npz") as got:
+            assert sorted(got.files) == sorted(want.files)
+            for key in want.files:
+                assert got[key].dtype == want[key].dtype
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_divergence_is_placed_at_the_batch(self):
+        net, data = toy_problem()
+        cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=0)
+        net.layers[0].bias.mean[0] = np.nan
+        before = net.layers[0].weight.factors[0].mean.copy()
+        with pytest.raises(TrainingDiverged) as caught:
+            training._train_step(net, data, np.arange(32), np.random.default_rng(0),
+                                 cfg, 1.0, 4, 7)
+        assert (caught.value.epoch, caught.value.batch, caught.value.layer) == (4, 7, 0)
+        np.testing.assert_array_equal(net.layers[0].weight.factors[0].mean, before)
+
+
 class TestEvaluate:
     def test_constant_logits_on_balanced_data(self):
         rng = np.random.default_rng(5)
@@ -244,6 +305,18 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError, match="empty"):
             evaluate(net, None)
+
+    def test_labels_beyond_the_net_classes_rejected(self):
+        # The dataset allows labels up to 9; a 3-class net must not score them
+        # as misses.
+        net = build_network(
+            [{"type": "plain_linear", "in_features": 3, "out_features": 3}],
+            classes=3,
+            rng=np.random.default_rng(9),
+        )
+        data = LabeledDataset(np.ones((4, 3)), np.array([0, 1, 2, 9]), 10)
+        with pytest.raises(ValueError, match="label out of range"):
+            evaluate(net, data)
 
     def test_ties_break_to_lowest_class(self):
         rng = np.random.default_rng(8)

@@ -1,4 +1,4 @@
-"""Golden runs: digests of 21 short `tensorard train` runs, for refactor gates.
+"""Golden runs: digests of 22 short `tensorard train` runs, for refactor gates.
 
 Each format (cp, tucker, tt, ttm) trains as a two-layer linear net and as an
 embedding + plain-head net, under LogUniform and HalfCauchy(0.3) hyper-priors,
@@ -6,7 +6,9 @@ pruning at 0.08.  Each format also trains one linear net whose first layer has
 three row modes, a per-entry ``max_ranks`` list and synthetic data drawn at a
 per-entry ``true_rank`` list, under LogUniform.  One more run trains a TTM
 embedding table of three cores, under LogUniform; every token batch repeats
-ids, so its backward sums repeated rows and runs an interior core.  For
+ids, so its backward sums repeated rows and runs an interior core.  A last
+run trains the CP linear net in ``fixed_rank`` mode under LogUniform, where
+the KL weight stays 0 and no rank-variance update runs.  For
 every run the script prints the return code and SHA-256 digests of
 ``metrics.csv``, ``ranks.json``, the report less its wall time, and every
 array of ``checkpoint_final.npz`` (``meta`` included), one per line.
@@ -187,17 +189,18 @@ def main(argv):
     tokens = rng.integers(0, 20, size=160)
     datasets.save_dataset(datasets.LabeledDataset(tokens, tokens % 3, 3),
                           out / "tokens")
-    runs = [(fmt, net, make, pname)
+    runs = [(fmt, net, make, pname, "ard")
             for fmt in ("cp", "tucker", "tt", "ttm")
             for net, make in (("linear", linear_spec), ("embed", embedding_spec))
             for pname in PRIORS]
-    runs += [(fmt, "linear3", rank_list_spec, "lu") for fmt in RANK_LISTS]
-    runs += [("ttm", "embed3", embedding3_spec, "lu")]
-    for fmt, net, make, pname in runs:
-        name = f"{fmt}-{net}-{pname}"
+    runs += [(fmt, "linear3", rank_list_spec, "lu", "ard") for fmt in RANK_LISTS]
+    runs += [("ttm", "embed3", embedding3_spec, "lu", "ard"),
+             ("cp", "linear", linear_spec, "lu", "fixed_rank")]
+    for fmt, net, make, pname, mode in runs:
+        name = f"{fmt}-{net}-{pname}" + ("" if mode == "ard" else f"-{mode}")
         model, data = make(fmt, out)
         spec = {"model": model, "data": data,
-                "train": {**TRAIN, "hyper_prior": PRIORS[pname]}}
+                "train": {**TRAIN, "hyper_prior": PRIORS[pname], "mode": mode}}
         run, path = out / name, out / f"{name}.json"
         path.write_text(json.dumps(spec))
         # The CLI's summary names the output directory: keep it out of the
