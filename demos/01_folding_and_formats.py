@@ -15,9 +15,10 @@ t = ta.fold_matrix(w, [2, 3, 4])
 print("folded", w.shape, "->", t.shape)
 assert np.array_equal(t.reshape(6, 4), w)
 
-# Paired folding splits rows and columns separately (mixed-radix digits),
-# which is what the tensor-train-matrix format consumes.
-t2 = ta.fold_matrix_paired(w, [2, 3], [2, 2])
+# Listing the row dims before the column dims splits rows and columns
+# separately (mixed-radix digits), which is what the tensor-train-matrix
+# format consumes.
+t2 = ta.fold_matrix(w, [2, 3] + [2, 2])
 print("paired fold ->", t2.shape, " entry check:", t2[1, 2, 0, 1] == w[5, 1])
 
 # Each format reconstructs a full tensor from small factors.

@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "checkpoint": ("load_network", "save_network"),
     "datasets": ("LabeledDataset", "batches", "gen_synthetic", "load_mnist_idx"),
-    "dense": ("fold_matrix", "fold_matrix_paired", "khatri_rao", "mode_n_product"),
+    "dense": ("fold_matrix", "khatri_rao", "mode_n_product"),
     "factorized": (
         "FactorizedLayer",
         "GaussianFactor",

@@ -1,168 +1,86 @@
 """Command-line front end: train, eval, predict, synth-gen.
 
-Exit codes: 0 success, 2 invalid usage or spec, 3 numerical failure.
-Heavy imports happen after argument parsing so --threads can pin the BLAS
-thread count before numpy loads.
+Exit codes: 0 success, 2 invalid usage, spec, input or path, 3 numerical
+failure. Heavy imports happen after argument parsing so --threads can pin
+the BLAS thread count before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
-RUNSPEC_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model", "data", "train"],
-    "properties": {
-        "output_dir": {"type": "string"},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["layers", "classes"],
-            "properties": {
-                "classes": {"type": "integer", "minimum": 2},
-                "layers": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "oneOf": [
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["type", "format", "row_dims", "col_dims"],
-                                "properties": {
-                                    "type": {"const": "tensorized_linear"},
-                                    "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
-                                    "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "max_rank": {"type": "integer", "minimum": 1},
-                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "activation": {"enum": ["relu", "identity"]},
-                                    "in_features": {"type": "integer", "minimum": 1},
-                                    "out_features": {"type": "integer", "minimum": 1},
-                                },
-                            },
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["type", "format", "row_dims", "col_dims"],
-                                "properties": {
-                                    "type": {"const": "embedding"},
-                                    "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
-                                    "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "max_rank": {"type": "integer", "minimum": 1},
-                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                },
-                            },
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["type", "in_features", "out_features"],
-                                "properties": {
-                                    "type": {"const": "plain_linear"},
-                                    "in_features": {"type": "integer", "minimum": 1},
-                                    "out_features": {"type": "integer", "minimum": 1},
-                                    "activation": {"enum": ["relu", "identity"]},
-                                },
-                            },
-                        ]
-                    },
-                },
-            },
-        },
-        "data": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "train_images", "train_labels"],
-                    "properties": {
-                        "kind": {"const": "mnist"},
-                        "train_images": {"type": "string"},
-                        "train_labels": {"type": "string"},
-                        "test_images": {"type": "string"},
-                        "test_labels": {"type": "string"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "format", "row_dims", "col_dims", "true_rank", "num_samples"],
-                    "properties": {
-                        "kind": {"const": "synthetic"},
-                        "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
-                        "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                        "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                        "true_rank": {
-                            "oneOf": [
-                                {"type": "integer", "minimum": 1},
-                                {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                            ]
-                        },
-                        "num_samples": {"type": "integer", "minimum": 1},
-                        "test_samples": {"type": "integer", "minimum": 0},
-                        "seed": {"type": "integer"},
-                        "label_sampling": {"enum": ["argmax", "multinomial"]},
-                        "in_features": {"type": "integer", "minimum": 1},
-                        "out_features": {"type": "integer", "minimum": 1},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "train_prefix"],
-                    "properties": {
-                        "kind": {"const": "blob"},
-                        "train_prefix": {"type": "string"},
-                        "test_prefix": {"type": "string"},
-                    },
-                },
-            ]
-        },
-        "train": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["epochs", "batch_size"],
-            "properties": {
-                "mode": {"enum": ["ard", "fixed_rank"]},
-                "hyper_prior": {
-                    "oneOf": [
-                        {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kind"],
-                            "properties": {"kind": {"const": "log_uniform"}},
-                        },
-                        {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["kind", "scale"],
-                            "properties": {
-                                "kind": {"const": "half_cauchy"},
-                                "scale": {"type": "number", "exclusiveMinimum": 0},
-                            },
-                        },
-                    ]
-                },
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "rank_step": {"type": "number", "minimum": 0, "maximum": 1},
-                "prune_threshold": {"type": "number", "exclusiveMinimum": 0},
-                "epochs": {"type": "integer", "minimum": 1},
-                "warmup_epochs": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "weak_prior_std": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
-                "init_std_ratio": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+# The schema is built from shared pieces, each stated once. They are shared
+# dict objects, so nothing may mutate them.
+_COUNT = {"type": "integer", "minimum": 1}
+_DIMS = {"type": "array", "items": _COUNT}
+_FORMAT = {"enum": ["cp", "tucker", "tt", "ttm"]}
+_ACTIVATION = {"enum": ["relu", "identity"]}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_STRING = {"type": "string"}
+_SEED = {"type": "integer"}
+# The keys that tensorized_linear and embedding layers share.
+_TENSORIZED = {"format": _FORMAT, "row_dims": _DIMS, "col_dims": _DIMS,
+               "max_rank": _COUNT, "max_ranks": _DIMS}
+
+
+def _object(required, **properties):
+    """An object schema with these properties; unknown keys are rejected."""
+    return {"type": "object", "additionalProperties": False,
+            "required": list(required), "properties": properties}
+
+
+RUNSPEC_SCHEMA = _object(
+    ["model", "data", "train"],
+    output_dir=_STRING,
+    model=_object(
+        ["layers", "classes"],
+        classes={"type": "integer", "minimum": 2},
+        layers={"type": "array", "minItems": 1, "items": {"oneOf": [
+            _object(["type", "format", "row_dims", "col_dims"],
+                    type={"const": "tensorized_linear"}, **_TENSORIZED,
+                    activation=_ACTIVATION, in_features=_COUNT, out_features=_COUNT),
+            _object(["type", "format", "row_dims", "col_dims"],
+                    type={"const": "embedding"}, **_TENSORIZED),
+            _object(["type", "in_features", "out_features"],
+                    type={"const": "plain_linear"}, in_features=_COUNT,
+                    out_features=_COUNT, activation=_ACTIVATION),
+        ]}},
+    ),
+    data={"oneOf": [
+        _object(["kind", "train_images", "train_labels"],
+                kind={"const": "mnist"}, train_images=_STRING, train_labels=_STRING,
+                test_images=_STRING, test_labels=_STRING),
+        _object(["kind", "format", "row_dims", "col_dims", "true_rank", "num_samples"],
+                kind={"const": "synthetic"}, format=_FORMAT, row_dims=_DIMS,
+                col_dims=_DIMS, true_rank={"oneOf": [_COUNT, _DIMS]},
+                num_samples=_COUNT, test_samples={"type": "integer", "minimum": 0},
+                seed=_SEED, label_sampling={"enum": ["argmax", "multinomial"]},
+                in_features=_COUNT, out_features=_COUNT),
+        _object(["kind", "train_prefix"],
+                kind={"const": "blob"}, train_prefix=_STRING, test_prefix=_STRING),
+    ]},
+    train=_object(
+        ["epochs", "batch_size"],
+        mode={"enum": ["ard", "fixed_rank"]},
+        hyper_prior={"oneOf": [
+            _object(["kind"], kind={"const": "log_uniform"}),
+            _object(["kind", "scale"], kind={"const": "half_cauchy"}, scale=_POSITIVE),
+        ]},
+        learning_rate=_POSITIVE,
+        rank_step={"type": "number", "minimum": 0, "maximum": 1},
+        prune_threshold=_POSITIVE,
+        epochs=_COUNT,
+        warmup_epochs=_COUNT,
+        batch_size=_COUNT,
+        weak_prior_std=_POSITIVE,
+        seed=_SEED,
+        init_std_ratio=_POSITIVE,
+    ),
+)
 
 
 class SpecError(Exception):
@@ -189,20 +107,20 @@ def _thread_count(text):
 def load_runspec(path):
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as e:
         raise SpecError(f"spec is not valid JSON: {e}")
     validate_runspec(doc)
     return doc
 
 
-def validate_runspec(doc):
+def validate_runspec(doc, key=None):
+    """Raise SpecError naming the offending field of a run spec, or of its
+    ``key`` mapping alone when ``key`` is given."""
     import jsonschema
     from jsonschema.exceptions import relevance
 
-    validator = jsonschema.Draft202012Validator(RUNSPEC_SCHEMA)
-    errors = list(validator.iter_errors(doc))
+    schema = RUNSPEC_SCHEMA if key is None else RUNSPEC_SCHEMA["properties"][key]
+    errors = list(jsonschema.Draft202012Validator(schema).iter_errors(doc))
     if not errors:
         return
     err = max(errors, key=relevance)
@@ -220,7 +138,8 @@ def validate_runspec(doc):
         ]
         pool = matching[0] if matching else list(err.context)
         err = max(pool, key=relevance)
-    where = "/".join(str(p) for p in err.absolute_path) or "<root>"
+    path = ([key] if key else []) + list(err.absolute_path)
+    where = "/".join(str(p) for p in path) or "<root>"
     raise SpecError(f"invalid spec at {where}: {err.message}")
 
 
@@ -380,8 +299,6 @@ def _eval_dataset(args):
 
 
 def cmd_predict(args):
-    import numpy as np
-
     from . import checkpoint, training
 
     if args.samples < 2:
@@ -389,16 +306,8 @@ def cmd_predict(args):
     net = checkpoint.load_network(args.checkpoint)
     inputs = _load_input(args.input)
     mean, std = training.predict_uncertainty(net, inputs, args.samples, seed=args.seed)
-    payload = {
-        "classes": net.classes,
-        "samples": args.samples,
-        "mean": [float(x) for x in np.atleast_2d(mean)[0]]
-        if np.asarray(mean).ndim == 1
-        else [[float(x) for x in row] for row in mean],
-        "std": [float(x) for x in np.atleast_2d(std)[0]]
-        if np.asarray(std).ndim == 1
-        else [[float(x) for x in row] for row in std],
-    }
+    payload = {"classes": net.classes, "samples": args.samples,
+               "mean": mean.tolist(), "std": std.tolist()}
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -411,10 +320,16 @@ def _load_input(path):
     import numpy as np
 
     p = Path(path)
-    if not p.exists():
-        raise SpecError(f"input file not found: {path}")
     if p.suffix == ".npy":
-        return np.load(p)
+        try:
+            arr = np.load(p)
+        except (OSError, EOFError, ValueError) as e:
+            raise SpecError(f"{path} is not a readable .npy array: {e}") from e
+        if not isinstance(arr, np.ndarray):
+            # np.load reads an .npz archive whatever its suffix.
+            arr.close()
+            raise SpecError(f"{path} is not a readable .npy array: it is an .npz archive")
+        return arr
     try:
         values = json.loads(p.read_text())
     except json.JSONDecodeError as e:
@@ -434,7 +349,7 @@ def cmd_synth_gen(args):
         raise SpecError(f"synth-gen spec {args.spec} is not a JSON object")
     if data_cfg.get("kind") != "synthetic":
         raise SpecError("synth-gen needs a spec whose data kind is 'synthetic'")
-    validate_runspec_fragment(data_cfg)
+    validate_runspec(data_cfg, "data")
     train, test, _ = _load_data(data_cfg)
     datasets.save_dataset(train, args.out)
     written = [f"{args.out}.json", f"{args.out}.bin"]
@@ -443,16 +358,6 @@ def cmd_synth_gen(args):
         written += [f"{args.out}_test.json", f"{args.out}_test.bin"]
     print("wrote " + ", ".join(written))
     return 0
-
-
-def validate_runspec_fragment(data_cfg):
-    import jsonschema
-
-    schema = RUNSPEC_SCHEMA["properties"]["data"]
-    try:
-        jsonschema.validate(data_cfg, schema)
-    except jsonschema.ValidationError as e:
-        raise SpecError(f"invalid synthetic data spec: {e.message}")
 
 
 def build_parser():
@@ -505,13 +410,7 @@ def main(argv=None) -> int:
         _set_thread_env(args.threads)
     try:
         return args.func(args)
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (SpecError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -15,7 +15,6 @@ __all__ = [
     "as_tensor",
     "mode_n_product",
     "fold_matrix",
-    "fold_matrix_paired",
     "khatri_rao",
 ]
 
@@ -67,30 +66,6 @@ def fold_matrix(matrix, dims) -> np.ndarray:
             f"product of dims {dims} is {math.prod(dims)}, need {w.size}"
         )
     return np.ascontiguousarray(w).reshape(dims)
-
-
-def fold_matrix_paired(matrix, row_dims, col_dims) -> np.ndarray:
-    """Fold a matrix into an order-2d tensor with paired row/column modes.
-
-    Entry ``(i, j)`` of the matrix maps to entry ``(i_1..i_d, j_1..j_d)``
-    where the ``i_n`` are the mixed-radix digits of ``i`` over ``row_dims``
-    (most significant digit first) and likewise for ``j`` over ``col_dims``.
-    """
-    w = np.asarray(matrix, dtype=np.float64)
-    row_dims = [int(d) for d in row_dims]
-    col_dims = [int(d) for d in col_dims]
-    if len(row_dims) != len(col_dims):
-        raise ValueError(
-            f"row dims ({len(row_dims)}) and col dims ({len(col_dims)}) differ in length"
-        )
-    if w.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of shape {w.shape}")
-    if math.prod(row_dims) != w.shape[0] or math.prod(col_dims) != w.shape[1]:
-        raise ValueError(
-            f"dims {row_dims} x {col_dims} do not factor a {w.shape[0]}x{w.shape[1]} matrix"
-        )
-    # Row digits are most significant, so this is a plain buffer reshape.
-    return np.ascontiguousarray(w).reshape(row_dims + col_dims)
 
 
 def khatri_rao(matrices) -> np.ndarray:

@@ -275,6 +275,8 @@ def predict_uncertainty(net: Network, inputs, num_samples: int, seed: int = 0):
     if num_samples < 2:
         raise ValueError("need at least 2 samples")
     inputs = np.asarray(inputs)
+    if inputs.dtype.kind not in "biuf":
+        raise ValueError("inputs must be real numbers")
     # The first layer takes batches of input_ndim dimensions (1-d token
     # ids, 2-d feature rows); one lower is a single input.
     ndim = net.layers[0].input_ndim

@@ -266,6 +266,15 @@ class TestSynthGen:
                        str(tmp_path / "ds")])
         assert rc == 2
 
+    def test_invalid_data_spec_names_the_field(self, tmp_path, capsys):
+        spec = synthetic_runspec(tmp_path / "o")
+        spec["data"]["true_rank"] = 0
+        spec_path = write_spec(tmp_path, spec)
+        rc = cli.main(["synth-gen", "--spec", str(spec_path), "--out",
+                       str(tmp_path / "ds")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: invalid spec at data/true_rank: 0 is less than the minimum of 1\n"
 
     @pytest.mark.parametrize("doc", [[1, 2], "synthetic", 3.5, None],
                              ids=["list", "string", "number", "null"])
@@ -550,6 +559,52 @@ class TestCorruptDatasetHeader:
             assert str(prefix) in err and "Traceback" not in err, (name, err)
 
 
+def _bad_input_argv(tmp_path, case):
+    """Files for one bad-input case under ``tmp_path``, its argv and a part
+    of its message: the path at fault, or what a non-real input is not."""
+    spec = write_spec(tmp_path, synthetic_runspec(tmp_path / "run", epochs=1))
+    ck = str(linear_checkpoint(tmp_path / "lin.npz"))
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    npy = tmp_path / "x.npy"
+    if case == "predict --input DIR.npy":
+        npy.mkdir()
+    elif case == "zero-byte .npy":
+        npy.write_bytes(b"")
+    elif case == ".npz named .npy":
+        np.savez(tmp_path / "x.npz", a=np.zeros(4))
+        (tmp_path / "x.npz").rename(npy)
+    elif case == "complex .npy non-real":
+        np.save(npy, np.zeros((2, 4), dtype=complex))
+    elif case == "string .npy non-real":
+        np.save(npy, np.array([["0.1"] * 4]))
+    argv, named = {
+        "train --spec DIR": (["train", "--spec", str(tmp_path)], tmp_path),
+        "train --out FILE": (["train", "--spec", str(spec), "--out", str(afile)], afile),
+        "train --out FILE/sub": (["train", "--spec", str(spec), "--out", str(afile / "sub")],
+                                 afile / "sub"),
+        "synth-gen --out FILE/x": (["synth-gen", "--spec", str(spec), "--out", str(afile / "x")],
+                                   afile / "x"),
+    }.get(case, (["predict", "--checkpoint", ck, "--input", str(npy), "--samples", "2"], npy))
+    return argv, "inputs must be real numbers" if case.endswith("non-real") else str(named)
+
+
+@pytest.mark.parametrize("case", [
+    "train --spec DIR", "train --out FILE", "train --out FILE/sub",
+    "predict --input DIR.npy", "synth-gen --out FILE/x", "zero-byte .npy",
+    ".npz named .npy", "complex .npy non-real", "string .npy non-real",
+])
+def test_unreadable_paths_and_inputs_exit_two(tmp_path, capsys, case):
+    """A path that cannot be read or written, an .npy input that is no
+    readable array and a non-real input exit 2 with a message."""
+    argv, named = _bad_input_argv(tmp_path, case)
+    capsys.readouterr()
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
 class TestLayersWithoutModes:
     """A layer with no row and no column modes exits 2 in every format."""
 
@@ -604,6 +659,25 @@ class TestSchemaPinned:
         for enum in enums:
             assert tuple(enum) == factorized.KINDS
 
+    def test_activations_modes_and_hyper_priors_match_the_library(self):
+        from tensorard import bayes, network, training
+
+        layers = cli.RUNSPEC_SCHEMA["properties"]["model"]["properties"]["layers"]
+        activations = [b["properties"]["activation"]["enum"]
+                       for b in layers["items"]["oneOf"] if "activation" in b["properties"]]
+        assert len(activations) == 2
+        for enum in activations:
+            assert tuple(enum) == network.ACTIVATIONS
+        train = cli.RUNSPEC_SCHEMA["properties"]["train"]["properties"]
+        assert tuple(train["mode"]["enum"]) == training.MODES
+        kinds = [b["properties"]["kind"]["const"] for b in train["hyper_prior"]["oneOf"]]
+        assert kinds == [bayes.LogUniform.name, bayes.HalfCauchy.name]
+
+    def test_schema_equals_the_reference_literal(self):
+        # Key order counts: the schema built from shared pieces must dump to
+        # the same text as the literal it replaced.
+        assert json.dumps(cli.RUNSPEC_SCHEMA) == json.dumps(REFERENCE_SCHEMA)
+
     def test_train_keys_are_the_train_config_fields(self):
         # _train_config passes the mapping straight to TrainConfig, so every
         # default is TrainConfig's.
@@ -618,3 +692,156 @@ class TestSchemaPinned:
         cfg = cli._train_config({**required, "seed": 1,
                                  "hyper_prior": {"kind": "half_cauchy", "scale": 0.2}}, 9)
         assert cfg.seed == 9 and cfg.hyper_prior == bayes.HalfCauchy(0.2)
+
+
+# The run-spec schema as a hand-written literal, kept verbatim from before it
+# was built from shared pieces; cli.RUNSPEC_SCHEMA must dump to the same JSON.
+REFERENCE_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["model", "data", "train"],
+    "properties": {
+        "output_dir": {"type": "string"},
+        "model": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["layers", "classes"],
+            "properties": {
+                "classes": {"type": "integer", "minimum": 2},
+                "layers": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {
+                        "oneOf": [
+                            {
+                                "type": "object",
+                                "additionalProperties": False,
+                                "required": ["type", "format", "row_dims", "col_dims"],
+                                "properties": {
+                                    "type": {"const": "tensorized_linear"},
+                                    "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
+                                    "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "max_rank": {"type": "integer", "minimum": 1},
+                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "activation": {"enum": ["relu", "identity"]},
+                                    "in_features": {"type": "integer", "minimum": 1},
+                                    "out_features": {"type": "integer", "minimum": 1},
+                                },
+                            },
+                            {
+                                "type": "object",
+                                "additionalProperties": False,
+                                "required": ["type", "format", "row_dims", "col_dims"],
+                                "properties": {
+                                    "type": {"const": "embedding"},
+                                    "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
+                                    "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "max_rank": {"type": "integer", "minimum": 1},
+                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                },
+                            },
+                            {
+                                "type": "object",
+                                "additionalProperties": False,
+                                "required": ["type", "in_features", "out_features"],
+                                "properties": {
+                                    "type": {"const": "plain_linear"},
+                                    "in_features": {"type": "integer", "minimum": 1},
+                                    "out_features": {"type": "integer", "minimum": 1},
+                                    "activation": {"enum": ["relu", "identity"]},
+                                },
+                            },
+                        ]
+                    },
+                },
+            },
+        },
+        "data": {
+            "oneOf": [
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["kind", "train_images", "train_labels"],
+                    "properties": {
+                        "kind": {"const": "mnist"},
+                        "train_images": {"type": "string"},
+                        "train_labels": {"type": "string"},
+                        "test_images": {"type": "string"},
+                        "test_labels": {"type": "string"},
+                    },
+                },
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["kind", "format", "row_dims", "col_dims", "true_rank", "num_samples"],
+                    "properties": {
+                        "kind": {"const": "synthetic"},
+                        "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
+                        "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                        "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                        "true_rank": {
+                            "oneOf": [
+                                {"type": "integer", "minimum": 1},
+                                {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                            ]
+                        },
+                        "num_samples": {"type": "integer", "minimum": 1},
+                        "test_samples": {"type": "integer", "minimum": 0},
+                        "seed": {"type": "integer"},
+                        "label_sampling": {"enum": ["argmax", "multinomial"]},
+                        "in_features": {"type": "integer", "minimum": 1},
+                        "out_features": {"type": "integer", "minimum": 1},
+                    },
+                },
+                {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "required": ["kind", "train_prefix"],
+                    "properties": {
+                        "kind": {"const": "blob"},
+                        "train_prefix": {"type": "string"},
+                        "test_prefix": {"type": "string"},
+                    },
+                },
+            ]
+        },
+        "train": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["epochs", "batch_size"],
+            "properties": {
+                "mode": {"enum": ["ard", "fixed_rank"]},
+                "hyper_prior": {
+                    "oneOf": [
+                        {
+                            "type": "object",
+                            "additionalProperties": False,
+                            "required": ["kind"],
+                            "properties": {"kind": {"const": "log_uniform"}},
+                        },
+                        {
+                            "type": "object",
+                            "additionalProperties": False,
+                            "required": ["kind", "scale"],
+                            "properties": {
+                                "kind": {"const": "half_cauchy"},
+                                "scale": {"type": "number", "exclusiveMinimum": 0},
+                            },
+                        },
+                    ]
+                },
+                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+                "rank_step": {"type": "number", "minimum": 0, "maximum": 1},
+                "prune_threshold": {"type": "number", "exclusiveMinimum": 0},
+                "epochs": {"type": "integer", "minimum": 1},
+                "warmup_epochs": {"type": "integer", "minimum": 1},
+                "batch_size": {"type": "integer", "minimum": 1},
+                "weak_prior_std": {"type": "number", "exclusiveMinimum": 0},
+                "seed": {"type": "integer"},
+                "init_std_ratio": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+    },
+}
