@@ -81,8 +81,5 @@ def _network_from_state(meta, arrays) -> Network:
         local = {
             k[len(prefix) :]: v for k, v in arrays.items() if k.startswith(prefix)
         }
-        cls = LAYER_TYPES.get(lmeta["type"])
-        if cls is None:
-            raise ValueError(f"unknown layer type {lmeta['type']!r}")
-        layers.append(cls.from_state(lmeta, local))
+        layers.append(LAYER_TYPES[lmeta["type"]].from_state(lmeta, local))
     return Network(layers, meta["classes"])

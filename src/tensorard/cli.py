@@ -21,10 +21,12 @@ _FORMAT = {"enum": ["cp", "tucker", "tt", "ttm"]}
 _ACTIVATION = {"enum": ["relu", "identity"]}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _STRING = {"type": "string"}
-_SEED = {"type": "integer"}
-# The keys that tensorized_linear and embedding layers share.
+_SEED = {"type": "integer", "minimum": 0}
+# An int, or one entry per rank-variance vector of the format.
+_RANKS = {"oneOf": [_COUNT, _DIMS]}
+# The keys that tensorized_linear and embedding layers share, all required.
 _TENSORIZED = {"format": _FORMAT, "row_dims": _DIMS, "col_dims": _DIMS,
-               "max_rank": _COUNT, "max_ranks": _DIMS}
+               "max_rank": _RANKS}
 
 
 def _object(required, **properties):
@@ -40,10 +42,10 @@ RUNSPEC_SCHEMA = _object(
         ["layers", "classes"],
         classes={"type": "integer", "minimum": 2},
         layers={"type": "array", "minItems": 1, "items": {"oneOf": [
-            _object(["type", "format", "row_dims", "col_dims"],
+            _object(["type", *_TENSORIZED],
                     type={"const": "tensorized_linear"}, **_TENSORIZED,
                     activation=_ACTIVATION, in_features=_COUNT, out_features=_COUNT),
-            _object(["type", "format", "row_dims", "col_dims"],
+            _object(["type", *_TENSORIZED],
                     type={"const": "embedding"}, **_TENSORIZED),
             _object(["type", "in_features", "out_features"],
                     type={"const": "plain_linear"}, in_features=_COUNT,
@@ -56,7 +58,7 @@ RUNSPEC_SCHEMA = _object(
                 test_images=_STRING, test_labels=_STRING),
         _object(["kind", "format", "row_dims", "col_dims", "true_rank", "num_samples"],
                 kind={"const": "synthetic"}, format=_FORMAT, row_dims=_DIMS,
-                col_dims=_DIMS, true_rank={"oneOf": [_COUNT, _DIMS]},
+                col_dims=_DIMS, true_rank=_RANKS,
                 num_samples=_COUNT, test_samples={"type": "integer", "minimum": 0},
                 seed=_SEED, label_sampling={"enum": ["argmax", "multinomial"]},
                 in_features=_COUNT, out_features=_COUNT),
@@ -93,23 +95,30 @@ def _set_thread_env(threads):
         os.environ[var] = str(threads)
 
 
-def _thread_count(text):
-    """A --threads value: an int of at least 1."""
-    try:
-        threads = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be at least 1, got {threads}")
-    return threads
+def _int_at_least(low, what):
+    """An argparse type: an int of at least ``low``, called ``what`` in errors."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+        return value
+    return parse
 
 
-def load_runspec(path):
+def load_runspec(path, key=None):
+    """The validated run spec in the JSON file at ``path``; with ``key``, its
+    ``key`` mapping alone, which the file may also hold bare."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
-        raise SpecError(f"spec is not valid JSON: {e}")
-    validate_runspec(doc)
+        raise SpecError(f"spec {path} is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise SpecError(f"spec {path} is not a JSON object")
+    doc = doc.get(key, doc) if key else doc
+    validate_runspec(doc, key)
     return doc
 
 
@@ -158,16 +167,16 @@ def _load_data(data_cfg):
     if kind == "synthetic":
         n_train = data_cfg["num_samples"]
         n_test = data_cfg.get("test_samples", 0)
+        # Optional keys pass only when set, so their defaults are gen_synthetic's.
+        optional = {k: data_cfg[k] for k in ("seed", "label_sampling", "in_features",
+                                             "out_features") if k in data_cfg}
         data, teacher = datasets.gen_synthetic(
             data_cfg["format"],
             data_cfg["row_dims"],
             data_cfg["col_dims"],
             data_cfg["true_rank"],
             num_samples=n_train + n_test,
-            seed=data_cfg.get("seed", 0),
-            label_sampling=data_cfg.get("label_sampling", "argmax"),
-            in_features=data_cfg.get("in_features"),
-            out_features=data_cfg.get("out_features"),
+            **optional,
         )
         train = data.subset(slice(0, n_train))
         test = data.subset(slice(n_train, None)) if n_test else None
@@ -343,13 +352,9 @@ def _load_input(path):
 def cmd_synth_gen(args):
     from . import datasets
 
-    doc = json.loads(Path(args.spec).read_text())
-    data_cfg = doc.get("data", doc) if isinstance(doc, dict) else doc
-    if not isinstance(data_cfg, dict):
-        raise SpecError(f"synth-gen spec {args.spec} is not a JSON object")
-    if data_cfg.get("kind") != "synthetic":
+    data_cfg = load_runspec(args.spec, "data")
+    if data_cfg["kind"] != "synthetic":
         raise SpecError("synth-gen needs a spec whose data kind is 'synthetic'")
-    validate_runspec(data_cfg, "data")
     train, test, _ = _load_data(data_cfg)
     datasets.save_dataset(train, args.out)
     written = [f"{args.out}.json", f"{args.out}.bin"]
@@ -365,7 +370,8 @@ def build_parser():
         prog="tensorard",
         description="Train tensorized neural networks with automatic rank determination.",
     )
-    parser.add_argument("--threads", type=_thread_count, help="cap BLAS/OpenMP threads")
+    parser.add_argument("--threads", type=_int_at_least(1, "thread count"),
+                        help="cap BLAS/OpenMP threads")
     parser.add_argument(
         "--deterministic",
         action="store_true",
@@ -376,7 +382,7 @@ def build_parser():
     p_train = sub.add_parser("train", help="run a training spec")
     p_train.add_argument("--spec", required=True, help="RunSpec JSON path")
     p_train.add_argument("--out", help="output directory (overrides spec)")
-    p_train.add_argument("--seed", type=int, help="override the training seed")
+    p_train.add_argument("--seed", type=_int_at_least(0, "seed"), help="override the training seed")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -390,7 +396,7 @@ def build_parser():
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--input", required=True, help=".npy or JSON array")
     p_pred.add_argument("--samples", type=int, default=100)
-    p_pred.add_argument("--seed", type=int, default=0)
+    p_pred.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     p_pred.add_argument("--out", help="write JSON here instead of stdout")
     p_pred.set_defaults(func=cmd_predict)
 

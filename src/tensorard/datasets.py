@@ -135,33 +135,22 @@ def gen_synthetic(
     if label_sampling not in ("argmax", "multinomial"):
         raise ValueError(f"unknown label_sampling {label_sampling!r}")
     row_dims, col_dims = [int(d) for d in row_dims], [int(d) for d in col_dims]
-    total = math.prod(row_dims) * math.prod(col_dims)
     if in_features is None:
         in_features = math.prod(row_dims)
     if out_features is None:
-        out_features = total // in_features
-    if in_features * out_features != total:
-        raise ValueError("in/out features do not factor the folded buffer")
+        out_features = math.prod(row_dims) * math.prod(col_dims) // in_features
     factorized.FORMATS[kind].check_rank_caps(row_dims, col_dims, true_ranks)
 
     rng = np.random.default_rng(seed)
-    teacher_weight = factorized.init_layer(
-        kind, row_dims, col_dims, true_ranks, rng, std_ratio=0.0, target_var=None
+    teacher = network.build_network(
+        [{"type": "tensorized_linear", "format": kind, "row_dims": row_dims,
+          "col_dims": col_dims, "max_rank": true_ranks, "in_features": in_features,
+          "out_features": out_features, "activation": "identity"}],
+        out_features, rng, std_ratio=0.0,
     )
     # Teacher factors are plain N(0,1) draws, not variance-matched.
-    for f in teacher_weight.factors:
+    for f in teacher.layers[0].weight.factors:
         f.mean[...] = rng.standard_normal(f.shape)
-    bias = factorized.GaussianFactor(
-        np.zeros(out_features), np.zeros(out_features)
-    )
-    teacher = network.Network(
-        [
-            network.TensorizedLinear(
-                teacher_weight, bias, in_features, out_features, activation="identity"
-            )
-        ],
-        classes=out_features,
-    )
     if base_inputs is not None:
         inputs = np.asarray(base_inputs, dtype=np.float64)
         if inputs.shape != (num_samples, in_features):

@@ -937,7 +937,6 @@ def init_layer(
     ranks,
     rng: np.random.Generator,
     target_var: float | None = None,
-    fan_in: int | None = None,
     std_ratio: float = 0.05,
 ) -> FactorizedLayer:
     """Random layer whose reconstructed entries have variance ~ ``target_var``.
@@ -945,16 +944,14 @@ def init_layer(
     Means are i.i.d. N(0, s^2) with s solved from each format's
     multiplicative structure; stddevs start at ``std_ratio * s`` and the
     rank variances at s^2 (their prior-variance role).  ``target_var``
-    defaults to 2/fan_in with fan_in = prod(row_dims).
+    defaults to 2/prod(row_dims), the He variance for that fan-in.
     """
     fmt = FORMATS[kind]
     row_dims = [int(d) for d in row_dims]
     col_dims = [int(d) for d in col_dims]
     fmt.check_dims(row_dims, col_dims)
-    if fan_in is None:
-        fan_in = math.prod(row_dims)
     if target_var is None:
-        target_var = 2.0 / fan_in
+        target_var = 2.0 / math.prod(row_dims)
     ranks = fmt.normalize_ranks(fmt.order(row_dims, col_dims), ranks)
     shapes = fmt.factor_shapes(row_dims, col_dims, ranks)
     # Every entry sums prod(ranks) products of one entry of each factor.

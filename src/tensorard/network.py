@@ -175,8 +175,8 @@ class TensorizedLinear(_Linear):
         in_features = int(cfg.get("in_features", math.prod(row_dims)))
         out_features = int(cfg.get("out_features", math.prod(col_dims)))
         weight = factorized.init_layer(
-            cfg["format"], row_dims, col_dims, cfg.get("max_ranks", cfg.get("max_rank")),
-            rng, fan_in=in_features, std_ratio=std_ratio,
+            cfg["format"], row_dims, col_dims, cfg["max_rank"],
+            rng, target_var=2.0 / in_features, std_ratio=std_ratio,
         )
         bias = GaussianFactor(np.zeros(out_features), np.full(out_features, 0.01))
         return cls(weight, bias, in_features, out_features,
@@ -306,15 +306,22 @@ class Embedding:
         # Checked here too: the target variance below divides by prod(col_dims).
         factorized.FORMATS[cfg["format"]].check_dims(row_dims, col_dims)
         table = factorized.init_layer(
-            cfg["format"], row_dims, col_dims, cfg.get("max_ranks", cfg.get("max_rank")),
+            cfg["format"], row_dims, col_dims, cfg["max_rank"],
             rng, target_var=1.0 / math.prod(col_dims), std_ratio=std_ratio,
         )
         return cls(table, math.prod(row_dims), math.prod(col_dims))
 
 
+class _LayerTypes(dict):
+    def __missing__(self, type_name):
+        raise ValueError(f"unknown layer type {type_name!r}")
+
+
 # Every layer class, keyed by the ``type`` string of its run-spec and
-# checkpoint entries.
-LAYER_TYPES = {cls.type_name: cls for cls in (TensorizedLinear, Embedding, PlainLinear)}
+# checkpoint entries; an unknown type raises ValueError.
+LAYER_TYPES = _LayerTypes(
+    (cls.type_name, cls) for cls in (TensorizedLinear, Embedding, PlainLinear)
+)
 
 
 class Network:
@@ -483,11 +490,12 @@ def _check_labels(labels, classes, batch=None):
 
 def build_network(layer_configs, classes: int, rng: np.random.Generator,
                   std_ratio: float = 0.05) -> Network:
-    """Build an initialized network from a list of layer config mappings."""
+    """Build an initialized network from a list of layer config mappings; a
+    missing key raises ValueError naming the layer's index and the key."""
     layers = []
-    for cfg in layer_configs:
-        cls = LAYER_TYPES.get(cfg["type"])
-        if cls is None:
-            raise ValueError(f"unknown layer type {cfg['type']!r}")
-        layers.append(cls.from_config(cfg, rng, std_ratio))
+    for index, cfg in enumerate(layer_configs):
+        try:
+            layers.append(LAYER_TYPES[cfg["type"]].from_config(cfg, rng, std_ratio))
+        except KeyError as e:
+            raise ValueError(f"layer {index} lacks the required key {e.args[0]!r}") from e
     return Network(layers, classes)

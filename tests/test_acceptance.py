@@ -37,7 +37,7 @@ def report_line(criterion, ok, detail):
 # -- criterion 1: synthetic rank recovery -------------------------------------
 
 SYNTH_CASES = {
-    # kind: (row, col, true_ranks, max_ranks, in/out, lr_scale, epochs, batch,
+    # kind: (row, col, true_ranks, max_rank, in/out, lr_scale, epochs, batch,
     #        half-Cauchy scale)
     "cp": ([28, 28], [10], 5, 10, None, 0.5, 800, 128, 0.1),
     "tucker": ([28, 28], [10], [5, 5, 5], [10, 10, 10], None, 0.35, 1600, 256, 0.3),
@@ -58,9 +58,8 @@ def run_synthetic(kind, prior):
     )
     layer = {
         "type": "tensorized_linear", "format": kind, "row_dims": row,
-        "col_dims": col, "activation": "identity",
+        "col_dims": col, "max_rank": maxr, "activation": "identity",
     }
-    layer["max_ranks" if isinstance(maxr, list) else "max_rank"] = maxr
     if inout:
         layer["in_features"], layer["out_features"] = inout
     net = build_network([layer], classes=data.classes, rng=np.random.default_rng(1))
@@ -315,8 +314,8 @@ def test_criterion_4_half_cauchy_vs_oracle():
 
 GRAD_CASES = {
     "cp": {"row_dims": [3, 2], "col_dims": [4], "max_rank": 3},
-    "tucker": {"row_dims": [3, 2], "col_dims": [4], "max_ranks": [2, 2, 3]},
-    "tt": {"row_dims": [3, 2], "col_dims": [4], "max_ranks": [2, 3]},
+    "tucker": {"row_dims": [3, 2], "col_dims": [4], "max_rank": [2, 2, 3]},
+    "tt": {"row_dims": [3, 2], "col_dims": [4], "max_rank": [2, 3]},
     "ttm": {"row_dims": [3, 2], "col_dims": [2, 2], "max_rank": 3},
 }
 
@@ -376,7 +375,7 @@ def test_criterion_5_likelihood_gradients(kind):
 SPLIT_GRAD_CASES = {
     "cp": {"row_dims": [3, 4], "col_dims": [2, 3], "max_rank": 3},
     "tucker": {"row_dims": [4, 4], "col_dims": [4, 4], "max_rank": 2},
-    "tt": {"row_dims": [3, 4], "col_dims": [2, 3], "max_ranks": [2, 2, 2]},
+    "tt": {"row_dims": [3, 4], "col_dims": [2, 3], "max_rank": [2, 2, 2]},
 }
 
 
@@ -444,8 +443,7 @@ def test_criterion_5_kl_gradients(kind):
 
     rng = np.random.default_rng(53)
     row, col = GRAD_CASES[kind]["row_dims"], GRAD_CASES[kind]["col_dims"]
-    ranks = GRAD_CASES[kind].get("max_rank", GRAD_CASES[kind].get("max_ranks"))
-    layer = factorized.init_layer(kind, row, col, ranks, rng)
+    layer = factorized.init_layer(kind, row, col, GRAD_CASES[kind]["max_rank"], rng)
     for f in layer.factors:
         f.mean[...] = rng.uniform(-1, 1, f.shape)
         f.std[...] = rng.uniform(0.1, 0.9, f.shape)
@@ -572,7 +570,7 @@ def test_criterion_7_determinism(tmp_path):
             "classes": 10,
             "layers": [
                 {"type": "tensorized_linear", "format": "tt", "row_dims": [28, 28],
-                 "col_dims": [10], "max_ranks": [6, 6], "activation": "identity"}
+                 "col_dims": [10], "max_rank": [6, 6], "activation": "identity"}
             ],
         },
         "data": {"kind": "synthetic", "format": "tt", "row_dims": [28, 28],

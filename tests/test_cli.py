@@ -605,6 +605,68 @@ def test_unreadable_paths_and_inputs_exit_two(tmp_path, capsys, case):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+def _bad_spec_argv(tmp_path, case):
+    """The argv of one bad rank, seed or spec-file case under ``tmp_path``, and
+    the part of its message that names the field, flag or file at fault."""
+    spec = synthetic_runspec(tmp_path / "run", epochs=1)
+    layer = spec["model"]["layers"][0]
+    named = {
+        "linear layer without max_rank": "model/layers/0: 'max_rank' is a required property",
+        "embedding layer without max_rank": "model/layers/0: 'max_rank' is a required property",
+        "layer with max_ranks": "'max_ranks' was unexpected",
+        "max_rank 0": "invalid spec at model/layers/0/max_rank:",
+        "train seed -1": "invalid spec at train/seed:",
+        "data seed -1": "invalid spec at data/seed:",
+        "train --seed -1": "argument --seed: seed must be at least 0, got -1",
+        "predict --seed -1": "argument --seed: seed must be at least 0, got -1",
+    }.get(case)
+    if case == "linear layer without max_rank":
+        del layer["max_rank"]
+    elif case == "embedding layer without max_rank":
+        spec["model"]["layers"] = [{"type": "embedding", "format": "cp", "row_dims": [4],
+                                    "col_dims": [3]}]
+    elif case == "layer with max_ranks":
+        layer["max_ranks"] = [layer.pop("max_rank")]
+    elif case == "max_rank 0":
+        layer["max_rank"] = 0
+    elif case == "train seed -1":
+        spec["train"]["seed"] = -1
+    elif case == "data seed -1":
+        spec["data"]["seed"] = -1
+    spec_path = write_spec(tmp_path, spec)
+    if case == "predict --seed -1":
+        inp = tmp_path / "x.json"
+        inp.write_text(json.dumps([0.0] * 4))
+        ck = linear_checkpoint(tmp_path / "lin.npz")
+        return ["predict", "--checkpoint", str(ck), "--input", str(inp), "--seed", "-1"], named
+    if case == "synth-gen spec not JSON":
+        spec_path.write_text("not json")
+        return ["synth-gen", "--spec", str(spec_path), "--out", str(tmp_path / "ds")], (
+            f"error: spec {spec_path} is not valid JSON")
+    seed = ["--seed", "-1"] if case == "train --seed -1" else []
+    return ["train", "--spec", str(spec_path), *seed], named
+
+
+@pytest.mark.parametrize("case", [
+    "linear layer without max_rank", "embedding layer without max_rank",
+    "layer with max_ranks", "max_rank 0", "train seed -1", "data seed -1",
+    "train --seed -1", "predict --seed -1", "synth-gen spec not JSON",
+])
+def test_bad_ranks_seeds_and_spec_files_exit_two(tmp_path, capsys, case):
+    """A missing or misnamed rank key, a rank below 1, a negative seed and a
+    spec file that is not JSON exit 2 with a message naming what is at fault."""
+    argv, named = _bad_spec_argv(tmp_path, case)
+    capsys.readouterr()
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exit_:
+        rc = exit_.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestLayersWithoutModes:
     """A layer with no row and no column modes exits 2 in every format."""
 
@@ -694,8 +756,8 @@ class TestSchemaPinned:
         assert cfg.seed == 9 and cfg.hyper_prior == bayes.HalfCauchy(0.2)
 
 
-# The run-spec schema as a hand-written literal, kept verbatim from before it
-# was built from shared pieces; cli.RUNSPEC_SCHEMA must dump to the same JSON.
+# The run-spec schema as a hand-written literal; cli.RUNSPEC_SCHEMA, built
+# from shared pieces, must dump to the same JSON.
 REFERENCE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -716,14 +778,18 @@ REFERENCE_SCHEMA = {
                             {
                                 "type": "object",
                                 "additionalProperties": False,
-                                "required": ["type", "format", "row_dims", "col_dims"],
+                                "required": ["type", "format", "row_dims", "col_dims", "max_rank"],
                                 "properties": {
                                     "type": {"const": "tensorized_linear"},
                                     "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
                                     "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
                                     "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "max_rank": {"type": "integer", "minimum": 1},
-                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "max_rank": {
+                                        "oneOf": [
+                                            {"type": "integer", "minimum": 1},
+                                            {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                        ]
+                                    },
                                     "activation": {"enum": ["relu", "identity"]},
                                     "in_features": {"type": "integer", "minimum": 1},
                                     "out_features": {"type": "integer", "minimum": 1},
@@ -732,14 +798,18 @@ REFERENCE_SCHEMA = {
                             {
                                 "type": "object",
                                 "additionalProperties": False,
-                                "required": ["type", "format", "row_dims", "col_dims"],
+                                "required": ["type", "format", "row_dims", "col_dims", "max_rank"],
                                 "properties": {
                                     "type": {"const": "embedding"},
                                     "format": {"enum": ["cp", "tucker", "tt", "ttm"]},
                                     "row_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
                                     "col_dims": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                                    "max_rank": {"type": "integer", "minimum": 1},
-                                    "max_ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                    "max_rank": {
+                                        "oneOf": [
+                                            {"type": "integer", "minimum": 1},
+                                            {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                                        ]
+                                    },
                                 },
                             },
                             {
@@ -789,7 +859,7 @@ REFERENCE_SCHEMA = {
                         },
                         "num_samples": {"type": "integer", "minimum": 1},
                         "test_samples": {"type": "integer", "minimum": 0},
-                        "seed": {"type": "integer"},
+                        "seed": {"type": "integer", "minimum": 0},
                         "label_sampling": {"enum": ["argmax", "multinomial"]},
                         "in_features": {"type": "integer", "minimum": 1},
                         "out_features": {"type": "integer", "minimum": 1},
@@ -839,7 +909,7 @@ REFERENCE_SCHEMA = {
                 "warmup_epochs": {"type": "integer", "minimum": 1},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "weak_prior_std": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "init_std_ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },

@@ -231,15 +231,12 @@ def ref_init_layer(
     ranks,
     rng: np.random.Generator,
     target_var: float | None = None,
-    fan_in: int | None = None,
     std_ratio: float = 0.05,
 ) -> FactorizedLayer:
     row_dims = [int(d) for d in row_dims]
     col_dims = [int(d) for d in col_dims]
-    if fan_in is None:
-        fan_in = math.prod(row_dims)
     if target_var is None:
-        target_var = 2.0 / fan_in
+        target_var = 2.0 / math.prod(row_dims)
     if kind == "ttm":
         d = len(row_dims)
         if len(col_dims) != d:
@@ -525,7 +522,7 @@ def _outcome(call):
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 class TestMatchesReference:
     @pytest.mark.parametrize("kwargs", [{}, {"target_var": 0.3, "std_ratio": 0.2},
-                                        {"fan_in": 7}])
+                                        {"target_var": 2.0 / 7}])
     def test_init_layer(self, case, kwargs):
         kind, row, col, ranks = case
         got = factorized.init_layer(kind, row, col, ranks, np.random.default_rng(3), **kwargs)

@@ -513,7 +513,7 @@ def _linear_backward(self, entry, g, points, need_input_grad):
 
 def linear_layer(kind, row_dims, col_dims, ranks, activation, rng):
     cfg = {"format": kind, "row_dims": row_dims, "col_dims": col_dims,
-           "max_ranks": ranks, "activation": activation}
+           "max_rank": ranks, "activation": activation}
     return TensorizedLinear.from_config(cfg, rng, 0.05)
 
 

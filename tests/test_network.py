@@ -156,24 +156,14 @@ class TestBackward:
     )
     def test_matches_finite_differences(self, kind, ranks):
         rng = np.random.default_rng(8)
-        if kind == "ttm":
-            cfg = {
-                "type": "tensorized_linear",
-                "format": "ttm",
-                "row_dims": [3, 2],
-                "col_dims": [2, 2],
-                "max_rank": ranks,
-                "activation": "identity",
-            }
-        else:
-            cfg = {
-                "type": "tensorized_linear",
-                "format": kind,
-                "row_dims": [3, 2],
-                "col_dims": [4],
-                "max_rank" if isinstance(ranks, int) else "max_ranks": ranks,
-                "activation": "identity",
-            }
+        cfg = {
+            "type": "tensorized_linear",
+            "format": kind,
+            "row_dims": [3, 2],
+            "col_dims": [2, 2] if kind == "ttm" else [4],
+            "max_rank": ranks,
+            "activation": "identity",
+        }
         net = build_network([cfg], classes=4, rng=np.random.default_rng(9))
         x = rng.standard_normal((6, 6))
         y = rng.integers(0, 4, size=6)
@@ -509,6 +499,25 @@ class TestStructure:
                 classes=3,
                 rng=rng,
             )
+
+    @pytest.mark.parametrize("layer,key", [
+        *((layer, key) for layer in ("tensorized_linear", "embedding")
+          for key in ("type", "format", "row_dims", "col_dims", "max_rank")),
+        *(("plain_linear", key) for key in ("type", "in_features", "out_features")),
+    ])
+    def test_missing_layer_key_names_the_layer_and_key(self, layer, key):
+        cfg = ({"type": layer, "in_features": 4, "out_features": 3}
+               if layer == "plain_linear" else
+               {"type": layer, "format": "cp", "row_dims": [4], "col_dims": [3],
+                "max_rank": 2})
+        del cfg[key]
+        head = {"type": "plain_linear", "in_features": 4, "out_features": 4}
+        with pytest.raises(ValueError, match=f"^layer 1 lacks the required key '{key}'$"):
+            build_network([head, cfg], classes=3, rng=np.random.default_rng(27))
+
+    def test_unknown_layer_type_rejected(self):
+        with pytest.raises(ValueError, match="unknown layer type 'conv'"):
+            build_network([{"type": "conv"}], classes=3, rng=np.random.default_rng(28))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(26)

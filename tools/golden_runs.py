@@ -3,7 +3,7 @@
 Each format (cp, tucker, tt, ttm) trains as a two-layer linear net and as an
 embedding + plain-head net, under LogUniform and HalfCauchy(0.3) hyper-priors,
 pruning at 0.08.  Each format also trains one linear net whose first layer has
-three row modes, a per-entry ``max_ranks`` list and synthetic data drawn at a
+three row modes, a per-entry ``max_rank`` list and synthetic data drawn at a
 per-entry ``true_rank`` list, under LogUniform.  One more run trains a TTM
 embedding table of three cores, under LogUniform; every token batch repeats
 ids, so its backward sums repeated rows and runs an interior core.  A last
@@ -68,7 +68,7 @@ def linear_spec(fmt, out):
         "test_samples": 32, "seed": 11}
 
 
-# Per-format (max_ranks, true_rank) lists for 24 -> 6 layers with three row
+# Per-format (max_rank, true_rank) lists for 24 -> 6 layers with three row
 # modes: one rank entry for CP, one per mode for Tucker, one per interior bond
 # for TT (five modes) and TTM (three paired modes).
 RANK_LISTS = {"cp": ([3], [2]),
@@ -79,11 +79,11 @@ RANK_LISTS = {"cp": ([3], [2]),
 
 def rank_list_spec(fmt, out):
     cols = [2, 3, 1] if fmt == "ttm" else [2, 3]
-    max_ranks, true_rank = RANK_LISTS[fmt]
+    max_rank, true_rank = RANK_LISTS[fmt]
     model, _ = linear_spec(fmt, out)
     model["layers"][0] = {"type": "tensorized_linear", "format": fmt,
                           "row_dims": [2, 3, 4], "col_dims": cols,
-                          "max_ranks": max_ranks, "activation": "relu"}
+                          "max_rank": max_rank, "activation": "relu"}
     return model, {
         "kind": "synthetic", "format": fmt, "row_dims": [2, 3, 4],
         "col_dims": cols, "true_rank": true_rank, "num_samples": 128,
