@@ -26,6 +26,7 @@ __all__ = [
     "optimal_rank_var_log_uniform",
     "optimal_rank_var_half_cauchy",
     "kl_gaussian",
+    "kl_gaussian_gradients",
     "gaussian_kl",
     "gaussian_kl_gradients",
     "rank_penalty",
@@ -131,9 +132,9 @@ def kl_gaussian(mean, std, prior_var):
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     prior_var = np.asarray(prior_var, dtype=np.float64)
-    if np.any(std <= 0):
+    if (std <= 0).any():
         raise ValueError("std must be positive")
-    if np.any(prior_var <= 0):
+    if (prior_var <= 0).any():
         raise ValueError("prior_var must be positive")
     return (
         0.5 * np.log(prior_var)
@@ -154,18 +155,22 @@ def gaussian_kl(gaussians, prior_variances) -> float:
     return total
 
 
-def gaussian_kl_gradients(gaussians, prior_variances):
-    """Exact KL gradients per Gaussian: (d/dmean, d/dstd) arrays.
+def kl_gaussian_gradients(mean, std, prior_var):
+    """Exact gradients (d/dmean, d/dstd) of :func:`kl_gaussian`, elementwise,
+    for arrays ``mean`` and ``std``.
 
     d/dmean = mean/prior_var and d/dstd = -1/std + std/prior_var.
     Deterministic: no sampling.
     """
-    grads = []
-    for g, var in zip(gaussians, prior_variances):
-        if np.any(g.std <= 0):
-            raise ValueError("std must be positive for KL gradients")
-        grads.append((g.mean / var, -1.0 / g.std + g.std / var))
-    return grads
+    if (std <= 0).any():
+        raise ValueError("std must be positive for KL gradients")
+    return mean / prior_var, -1.0 / std + std / prior_var
+
+
+def gaussian_kl_gradients(gaussians, prior_variances):
+    """:func:`kl_gaussian_gradients` per Gaussian: a (d/dmean, d/dstd) pair each."""
+    return [kl_gaussian_gradients(g.mean, g.std, var)
+            for g, var in zip(gaussians, prior_variances)]
 
 
 def sample_gaussians(gaussians, rng: np.random.Generator):
@@ -210,15 +215,17 @@ def layer_kl(layer: FactorizedLayer, hyper_prior, weak_prior_var: float = 1.0) -
     return gaussians + rank_penalty(layer, hyper_prior)
 
 
-def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float) -> None:
+def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float,
+                          squares=None) -> None:
     """In-place incremental move of every rank variance toward its optimum.
 
     new = step * optimum + (1 - step) * current, then floored so the KL term
-    stays finite before pruning.
+    stays finite before pruning.  ``squares`` is passed to
+    :func:`~tensorard.factorized.rank_moments`.
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError("step must lie in [0, 1]")
-    for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer)):
+    for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer, squares)):
         optima = hyper_prior.optimal_rank_var(moments, count)
         v *= 1.0 - step
         v += step * optima

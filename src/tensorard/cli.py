@@ -135,6 +135,8 @@ def validate_runspec(doc, key=None):
     err = max(errors, key=relevance)
     # Descend through oneOf wrappers into the branch whose discriminator
     # ("kind"/"type" const) matches, so messages name the offending field.
+    # Among those, a branch whose type the value has beats one it does not:
+    # a rank list [0] names its entry, not "is not of type 'integer'".
     while err.context:
         by_branch = {}
         for sub in err.context:
@@ -145,7 +147,12 @@ def validate_runspec(doc, key=None):
             for subs in by_branch.values()
             if not any(s.validator == "const" for s in subs)
         ]
-        pool = matching[0] if matching else list(err.context)
+        typed = [
+            subs
+            for subs in matching
+            if not any(s.validator == "type" and not s.relative_path for s in subs)
+        ]
+        pool = (typed or matching or [list(err.context)])[0]
         err = max(pool, key=relevance)
     path = ([key] if key else []) + list(err.absolute_path)
     where = "/".join(str(p) for p in path) or "<root>"

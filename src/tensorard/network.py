@@ -1,8 +1,10 @@
 """Tensorized feed-forward classifiers with a multinomial likelihood.
 
 Every layer lists its variational Gaussians (factors, cores, plain weights,
-biases) and their prior variances; sampling, the KL and its gradient run
-over that list.  A tensorized linear layer whose row and column dims fold
+biases).  A network keeps all their means and stds in two flat buffers, each
+Gaussian's arrays being views of its segment, so sampling, the KL, its
+gradient, the step and the rank update run one pass per network, not one per
+Gaussian.  A tensorized linear layer whose row and column dims fold
 its input and output sizes multiplies a batch through its factors,
 W = L·M·Rᵀ, whenever its format splits there and that takes fewer
 multiply-adds than the dense product; otherwise a pass builds the weight
@@ -36,6 +38,7 @@ __all__ = [
     "nll_multinomial",
     "embedding_lookup",
     "build_network",
+    "flat_gradients",
 ]
 
 ACTIVATIONS = ("relu", "identity")
@@ -110,10 +113,6 @@ class TensorizedLinear(_Linear):
         """The layer's variational Gaussians: the weight factors, then the bias."""
         return [*self.weight.factors, self.bias]
 
-    def prior_variances(self, weak_var):
-        """Prior variance of each Gaussian, broadcastable to it."""
-        return [*factorized.prior_variance_arrays(self.weight, weak_var), weak_var]
-
     @property
     def factorized(self):
         """The rank-controlled weight, or None for a layer without one."""
@@ -175,7 +174,7 @@ class TensorizedLinear(_Linear):
         in_features = int(cfg.get("in_features", math.prod(row_dims)))
         out_features = int(cfg.get("out_features", math.prod(col_dims)))
         weight = factorized.init_layer(
-            cfg["format"], row_dims, col_dims, cfg["max_rank"],
+            cfg["format"], row_dims, col_dims, _max_rank(cfg, row_dims, col_dims),
             rng, target_var=2.0 / in_features, std_ratio=std_ratio,
         )
         bias = GaussianFactor(np.zeros(out_features), np.full(out_features, 0.01))
@@ -204,9 +203,6 @@ class PlainLinear(_Linear):
 
     def gaussians(self):
         return [self.weight, self.bias]
-
-    def prior_variances(self, weak_var):
-        return [weak_var, weak_var]
 
     @property
     def in_features(self):
@@ -267,9 +263,6 @@ class Embedding:
     def gaussians(self):
         return list(self.table.factors)
 
-    def prior_variances(self, weak_var):
-        return factorized.prior_variance_arrays(self.table, weak_var)
-
     @property
     def out_features(self):
         return self.embed_dim
@@ -303,13 +296,25 @@ class Embedding:
     @classmethod
     def from_config(cls, cfg, rng, std_ratio):
         row_dims, col_dims = list(cfg["row_dims"]), list(cfg["col_dims"])
-        # Checked here too: the target variance below divides by prod(col_dims).
-        factorized.FORMATS[cfg["format"]].check_dims(row_dims, col_dims)
+        # Checks the dims first: the target variance divides by prod(col_dims).
+        ranks = _max_rank(cfg, row_dims, col_dims)
         table = factorized.init_layer(
-            cfg["format"], row_dims, col_dims, cfg["max_rank"],
+            cfg["format"], row_dims, col_dims, ranks,
             rng, target_var=1.0 / math.prod(col_dims), std_ratio=std_ratio,
         )
         return cls(table, math.prod(row_dims), math.prod(col_dims))
+
+
+def _max_rank(cfg, row_dims, col_dims):
+    """A layer mapping's ``max_rank``, normalized for its format once the
+    format has checked the dims; a rank list of the wrong length raises
+    ValueError naming ``max_rank``."""
+    fmt = factorized.FORMATS[cfg["format"]]
+    fmt.check_dims(row_dims, col_dims)
+    try:
+        return fmt.normalize_ranks(fmt.order(row_dims, col_dims), cfg["max_rank"])
+    except ValueError as e:
+        raise ValueError(f"max_rank: {e}") from e
 
 
 class _LayerTypes(dict):
@@ -324,6 +329,83 @@ LAYER_TYPES = _LayerTypes(
 )
 
 
+class _GaussianStore:
+    """Every Gaussian of a network as views into two flat buffers.
+
+    ``mean`` and ``std`` hold every entry, layer by layer in ``gaussians()``
+    order, and each Gaussian's ``mean`` and ``std`` become reshaped views of
+    its segment.  ``rank_var`` holds every rank-variance vector end to end,
+    each rebound to its view, and a last slot for the weak prior variance;
+    ``prior_index`` maps every entry to the slot of its prior variance.
+    Building the store copies the current values in.
+    """
+
+    def __init__(self, layers):
+        gaussians = [layer.gaussians() for layer in layers]
+        flat = [g for gs in gaussians for g in gs]
+        bounds = np.cumsum([0] + [g.mean.size for g in flat]).tolist()
+        segments = [(slice(a, b), g.shape) for g, a, b in zip(flat, bounds, bounds[1:])]
+        self.mean, self.std = np.empty(bounds[-1]), np.empty(bounds[-1])
+        for g, (seg, shape) in zip(flat, segments):
+            self.mean[seg], self.std[seg] = g.mean.reshape(-1), g.std.reshape(-1)
+            g.mean, g.std = self.mean[seg].reshape(shape), self.std[seg].reshape(shape)
+        starts = np.cumsum([0] + [len(gs) for gs in gaussians]).tolist()
+        self.layout = [segments[a:b] for a, b in zip(starts, starts[1:])]
+
+        weights = [layer.factorized for layer in layers if layer.factorized is not None]
+        vectors = [v for fl in weights for v in fl.rank_variances]
+        self.rank_var = np.empty(sum(v.size for v in vectors) + 1)
+        weak = self.rank_var.size - 1
+        self.prior_index = np.full(bounds[-1], weak, dtype=np.intp)
+        segment_of = {id(g): segment for g, segment in zip(flat, segments)}
+        self.weights, first = [], 0
+        for fl in weights:
+            factor_segments = [segment_of[id(f)] for f in fl.factors]
+            for (seg, _), slots in zip(factor_segments, factorized.prior_slots(fl, first, weak)):
+                self.prior_index[seg] = slots.reshape(-1)
+            for k, v in enumerate(fl.rank_variances):
+                view = self.rank_var[first:first + v.size]
+                view[:] = v
+                fl.rank_variances[k] = view
+                first += v.size
+            self.weights.append((fl, factor_segments))
+        self.counts = (len(flat), len(vectors))
+
+    def holds(self, layers) -> bool:
+        """Whether every Gaussian and rank vector of ``layers`` is still a view
+        of this store.  A base test, not identity: a deep copy keeps the
+        identities among its objects but turns each view into an owning array."""
+        gaussians = vectors = 0
+        for layer in layers:
+            for g in layer.gaussians():
+                if g.mean.base is not self.mean or g.std.base is not self.std:
+                    return False
+                gaussians += 1
+            fl = layer.factorized
+            if fl is not None:
+                for v in fl.rank_variances:
+                    if v.base is not self.rank_var:
+                        return False
+                vectors += len(fl.rank_variances)
+        return (gaussians, vectors) == self.counts
+
+    def views(self, flat):
+        """Per layer, the views of a flat array that align with ``gaussians()``."""
+        return [[flat[seg].reshape(shape) for seg, shape in layer] for layer in self.layout]
+
+    def prior_variances(self, weak_var):
+        """Every entry's prior variance, as one flat array."""
+        self.rank_var[-1] = weak_var
+        return self.rank_var[self.prior_index]
+
+
+def flat_gradients(grads):
+    """The (d/dmean, d/dstd) arrays of per-layer gradients, each laid end to
+    end in the order of :meth:`Network.flat_gaussians`."""
+    return (np.concatenate([dm for layer in grads for dm, _ in layer], axis=None),
+            np.concatenate([ds for layer in grads for _, ds in layer], axis=None))
+
+
 class Network:
     """Ordered layers ending in a ``classes``-way classifier head."""
 
@@ -332,6 +414,7 @@ class Network:
             raise ValueError("network needs at least one layer")
         self.layers = list(layers)
         self.classes = int(classes)
+        self._store = None
         out = self.layers[-1].out_features
         if out != self.classes:
             raise ValueError(f"final layer emits {out} features, expected {classes}")
@@ -344,6 +427,26 @@ class Network:
                     f"{nxt.in_features}"
                 )
 
+    # -- the flat store -----------------------------------------------------------
+    #
+    # Sampling, the KL, its gradient, the step and the rank update each run
+    # one pass over the store's flat buffers.  The store is built on first
+    # use and rebuilt whenever a layer's Gaussians or rank vectors are not
+    # its views: after pruning, loading or a deep copy, or when a bias or a
+    # rank-variance vector is replaced.
+
+    def _gaussian_store(self) -> _GaussianStore:
+        if self._store is None or not self._store.holds(self.layers):
+            self._store = _GaussianStore(self.layers)
+        return self._store
+
+    def flat_gaussians(self):
+        """(means, stds): every Gaussian's entries in two flat buffers, of which
+        each ``mean`` and ``std`` is a view; updating them in place moves the
+        Gaussians."""
+        store = self._gaussian_store()
+        return store.mean, store.std
+
     # -- sampling ------------------------------------------------------------
     #
     # A draw holds one (points, noises) pair per layer and a gradient one
@@ -351,8 +454,14 @@ class Network:
     # ``layer.gaussians()``.
 
     def sample(self, rng: np.random.Generator):
-        """One joint reparameterized draw of every weight and bias."""
-        return [bayes.sample_gaussians(layer.gaussians(), rng) for layer in self.layers]
+        """One joint reparameterized draw of every weight and bias.
+
+        One ``standard_normal`` call over the flat buffers draws what one
+        call per Gaussian, in ``gaussians()`` order, would.
+        """
+        store = self._gaussian_store()
+        z = rng.standard_normal(store.mean.size)
+        return list(zip(store.views(store.mean + z * store.std), store.views(z)))
 
     def _mean_state(self):
         return [([g.mean for g in layer.gaussians()], None) for layer in self.layers]
@@ -400,22 +509,41 @@ class Network:
     # -- KL over the whole model -------------------------------------------------
 
     def kl_total(self, hyper_prior, weak_prior_std: float = 1.0) -> float:
-        """KL to the prior over all factors, cores, plain weights and biases."""
-        weak_var = weak_prior_std * weak_prior_std
+        """KL to the prior over all factors, cores, plain weights and biases,
+        plus the rank-variance penalties.
+
+        The entries' KL is summed per Gaussian, then per layer, as
+        :func:`bayes.gaussian_kl` sums each layer.
+        """
+        store = self._gaussian_store()
+        var = store.prior_variances(weak_prior_std * weak_prior_std)
+        kl = bayes.kl_gaussian(store.mean, store.std, var)
         total = 0.0
-        for layer in self.layers:
-            total += bayes.gaussian_kl(layer.gaussians(), layer.prior_variances(weak_var))
+        for layer in store.layout:
+            layer_total = 0.0
+            for seg, _ in layer:
+                layer_total += float(kl[seg].sum())
+            total += layer_total
         for _, fl in self.factorized_layers():
             total += bayes.rank_penalty(fl, hyper_prior)
         return total
 
     def kl_gradients(self, weak_prior_std: float = 1.0):
         """KL-part gradients in the same structure as :meth:`backward` returns."""
-        weak_var = weak_prior_std * weak_prior_std
-        return [
-            bayes.gaussian_kl_gradients(layer.gaussians(), layer.prior_variances(weak_var))
-            for layer in self.layers
-        ]
+        store = self._gaussian_store()
+        var = store.prior_variances(weak_prior_std * weak_prior_std)
+        d_mean, d_std = bayes.kl_gaussian_gradients(store.mean, store.std, var)
+        return [list(zip(m, s)) for m, s in zip(store.views(d_mean), store.views(d_std))]
+
+    def update_rank_variances(self, hyper_prior, step: float) -> None:
+        """:func:`bayes.update_rank_variances` on every rank-controlled weight,
+        with mean^2 + std^2 computed once over the flat buffers."""
+        store = self._gaussian_store()
+        squares = store.mean * store.mean + store.std * store.std
+        for fl, segments in store.weights:
+            bayes.update_rank_variances(
+                fl, hyper_prior, step, [squares[seg].reshape(shape) for seg, shape in segments]
+            )
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -491,11 +619,14 @@ def _check_labels(labels, classes, batch=None):
 def build_network(layer_configs, classes: int, rng: np.random.Generator,
                   std_ratio: float = 0.05) -> Network:
     """Build an initialized network from a list of layer config mappings; a
-    missing key raises ValueError naming the layer's index and the key."""
+    missing key raises ValueError naming the layer's index and the key, and
+    every other ValueError of a layer's construction names its index."""
     layers = []
     for index, cfg in enumerate(layer_configs):
         try:
             layers.append(LAYER_TYPES[cfg["type"]].from_config(cfg, rng, std_ratio))
         except KeyError as e:
             raise ValueError(f"layer {index} lacks the required key {e.args[0]!r}") from e
+        except ValueError as e:
+            raise ValueError(f"layer {index}: {e}") from e
     return Network(layers, classes)

@@ -144,16 +144,19 @@ def _apply_update(param, like_grad, kl_grad, lr, n_data, beta):
     if beta != 0.0:
         step = lr * beta * kl_grad
         cap = 0.5 * np.abs(param)
-        np.clip(step, -cap, cap, out=step)
+        step.clip(-cap, cap, out=step)
         param -= step
 
 
 def _step_network(net, like, klg, lr, n_data, beta):
-    for layer, like_grads, kl_grads in zip(net.layers, like, klg):
-        for g, (lm, ls), (km, ks) in zip(layer.gaussians(), like_grads, kl_grads):
-            _apply_update(g.mean, lm, km, lr, n_data, beta)
-            _apply_update(g.std, ls, ks, lr, n_data, beta)
-            np.maximum(g.std, SIGMA_FLOOR, out=g.std)
+    """One :func:`_apply_update` of every mean and one of every std, over the
+    network's flat buffers, then the floor on every std."""
+    means, stds = net.flat_gaussians()
+    like_mean, like_std = network.flat_gradients(like)
+    kl_mean, kl_std = network.flat_gradients(klg)
+    _apply_update(means, like_mean, kl_mean, lr, n_data, beta)
+    _apply_update(stds, like_std, kl_std, lr, n_data, beta)
+    np.maximum(stds, SIGMA_FLOOR, out=stds)
 
 
 def _find_bad_layer(net, logits):
@@ -187,8 +190,7 @@ def _train_step(net, data, idx, rng, config, beta, epoch, batch):
     klg = net.kl_gradients(config.weak_prior_std)
     _step_network(net, like, klg, config.learning_rate, n_data, beta)
     if config.mode == "ard" and config.rank_step > 0.0:
-        for _, fl in net.factorized_layers():
-            bayes.update_rank_variances(fl, config.hyper_prior, config.rank_step)
+        net.update_rank_variances(config.hyper_prior, config.rank_step)
     return loss, batch_nll, batch_kl
 
 

@@ -615,6 +615,10 @@ def _bad_spec_argv(tmp_path, case):
         "embedding layer without max_rank": "model/layers/0: 'max_rank' is a required property",
         "layer with max_ranks": "'max_ranks' was unexpected",
         "max_rank 0": "invalid spec at model/layers/0/max_rank:",
+        "max_rank [0]": ("invalid spec at model/layers/0/max_rank/0: "
+                         "0 is less than the minimum of 1"),
+        "true_rank [0]": "invalid spec at data/true_rank/0: 0 is less than the minimum of 1",
+        "cp max_rank [2, 2]": "layer 0: max_rank: cp needs 1 rank entries, got 2",
         "train seed -1": "invalid spec at train/seed:",
         "data seed -1": "invalid spec at data/seed:",
         "train --seed -1": "argument --seed: seed must be at least 0, got -1",
@@ -629,6 +633,12 @@ def _bad_spec_argv(tmp_path, case):
         layer["max_ranks"] = [layer.pop("max_rank")]
     elif case == "max_rank 0":
         layer["max_rank"] = 0
+    elif case == "max_rank [0]":
+        layer["max_rank"] = [0]
+    elif case == "true_rank [0]":
+        spec["data"]["true_rank"] = [0]
+    elif case == "cp max_rank [2, 2]":
+        layer["max_rank"] = [2, 2]
     elif case == "train seed -1":
         spec["train"]["seed"] = -1
     elif case == "data seed -1":
@@ -649,12 +659,14 @@ def _bad_spec_argv(tmp_path, case):
 
 @pytest.mark.parametrize("case", [
     "linear layer without max_rank", "embedding layer without max_rank",
-    "layer with max_ranks", "max_rank 0", "train seed -1", "data seed -1",
+    "layer with max_ranks", "max_rank 0", "max_rank [0]", "true_rank [0]",
+    "cp max_rank [2, 2]", "train seed -1", "data seed -1",
     "train --seed -1", "predict --seed -1", "synth-gen spec not JSON",
 ])
 def test_bad_ranks_seeds_and_spec_files_exit_two(tmp_path, capsys, case):
-    """A missing or misnamed rank key, a rank below 1, a negative seed and a
-    spec file that is not JSON exit 2 with a message naming what is at fault."""
+    """A missing or misnamed rank key, a rank below 1 (alone or in a list), a
+    rank list of the wrong length, a negative seed and a spec file that is not
+    JSON exit 2 with a message naming what is at fault."""
     argv, named = _bad_spec_argv(tmp_path, case)
     capsys.readouterr()
     try:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -590,3 +592,151 @@ def _check_kl_gradients(net):
             numeric = (up - down) / (2 * h)
             rel = abs(numeric - gf[j]) / max(abs(numeric), abs(gf[j]), 1e-8)
             assert rel < 1e-5
+
+
+# -- the flat store -----------------------------------------------------------
+
+
+def store_net(kind, seed=40):
+    """Every Gaussian kind across three layers: a tensorized_linear weight of
+    format ``kind`` and its bias, then a Tucker weight (a core under the weak
+    prior) and its bias, then a plain weight and bias."""
+    layers = [
+        {"type": "tensorized_linear", "format": kind, "row_dims": [3, 4],
+         "col_dims": [2, 3], "max_rank": 3, "activation": "relu"},
+        {"type": "tensorized_linear", "format": "tucker", "row_dims": [2, 3],
+         "col_dims": [4], "max_rank": [2, 1, 2], "activation": "relu"},
+        {"type": "plain_linear", "in_features": 4, "out_features": 3},
+    ]
+    return build_network(layers, 3, np.random.default_rng(seed))
+
+
+def reference_sample(net, rng):
+    """One ``bayes.sample_gaussians`` call per layer."""
+    from tensorard import bayes
+
+    return [bayes.sample_gaussians(layer.gaussians(), rng) for layer in net.layers]
+
+
+def reference_prior_variances(layer, weak_var):
+    """Each Gaussian's prior variance: its rank variances, else the weak one."""
+    prior = {}
+    fl = layer.factorized
+    if fl is not None:
+        arrays = factorized.prior_variance_arrays(fl, weak_var)
+        prior = {id(f): var for f, var in zip(fl.factors, arrays)}
+    return [prior.get(id(g), weak_var) for g in layer.gaussians()]
+
+
+def reference_kl_total(net, hyper_prior, weak_std):
+    """``bayes.gaussian_kl`` per layer, then the rank penalties."""
+    from tensorard import bayes
+
+    weak_var = weak_std * weak_std
+    total = 0.0
+    for layer in net.layers:
+        total += bayes.gaussian_kl(layer.gaussians(), reference_prior_variances(layer, weak_var))
+    for _, fl in net.factorized_layers():
+        total += bayes.rank_penalty(fl, hyper_prior)
+    return total
+
+
+def reference_kl_gradients(net, weak_std):
+    from tensorard import bayes
+
+    weak_var = weak_std * weak_std
+    return [bayes.gaussian_kl_gradients(layer.gaussians(),
+                                        reference_prior_variances(layer, weak_var))
+            for layer in net.layers]
+
+
+def assert_same_arrays(got, want):
+    """Nested lists and tuples of arrays, equal bit for bit."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return
+    assert type(got) is type(want) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_arrays(g, w)
+
+
+def assert_store_reads_the_layers(net, seed=0):
+    """Sampling, the KL and its gradient equal their per-Gaussian references."""
+    from tensorard.bayes import HalfCauchy
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_arrays(net.sample(rng), reference_sample(net, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    prior = HalfCauchy(0.3)
+    assert net.kl_total(prior, weak_prior_std=1.3) == reference_kl_total(net, prior, 1.3)
+    assert_same_arrays(net.kl_gradients(weak_prior_std=1.3), reference_kl_gradients(net, 1.3))
+
+
+def all_arrays(net):
+    out = [a for layer in net.layers for g in layer.gaussians() for a in (g.mean, g.std)]
+    return out + [v for _, fl in net.factorized_layers() for v in fl.rank_variances]
+
+
+@pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+class TestFlatStore:
+    """Every Gaussian is a view into the network's two flat buffers; each pass
+    over them must equal the per-Gaussian computation bit for bit, and the
+    buffers must follow every array a layer is given."""
+
+    def test_sample_and_kl_equal_the_per_gaussian_references(self, kind):
+        net = store_net(kind)
+        before = [a.copy() for a in all_arrays(net)]
+        assert_store_reads_the_layers(net)
+        assert_same_arrays(all_arrays(net), before)  # building moved no value
+        means, stds = net.flat_gaussians()
+        for layer in net.layers:
+            for g in layer.gaussians():
+                assert g.mean.base is means and g.std.base is stds
+        # A second call reuses the store and still reads the current values.
+        net.layers[0].bias.mean[...] = 0.25
+        assert_store_reads_the_layers(net, seed=1)
+
+    def test_training_a_deep_copy_leaves_the_original(self, kind):
+        from tensorard import training
+        from tensorard.datasets import LabeledDataset
+
+        net = store_net(kind)
+        net.sample(np.random.default_rng(0))  # builds the store
+        before = [a.copy() for a in all_arrays(net)]
+        trained = copy.deepcopy(net)
+        rng = np.random.default_rng(3)
+        data = LabeledDataset(rng.standard_normal((24, 12)), rng.integers(0, 3, 24), 3)
+        training.train(trained, data, training.TrainConfig(epochs=2, batch_size=8,
+                                                           prune_threshold=1e-30))
+        assert_same_arrays(all_arrays(net), before)
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(all_arrays(trained), before))
+        for a in net.flat_gaussians():
+            assert not any(np.shares_memory(a, b) for b in trained.flat_gaussians())
+
+    def test_replaced_bias_and_rank_vector_are_read(self, kind):
+        net = store_net(kind)
+        net.sample(np.random.default_rng(0))
+        layer = net.layers[1]
+        layer.bias = GaussianFactor(np.full(4, 0.5), np.full(4, 0.2))
+        assert_store_reads_the_layers(net)
+        assert layer.bias.mean.base is net.flat_gaussians()[0]
+        fl = net.layers[0].weight
+        fl.rank_variances[0] = np.full(fl.rank_variances[0].size, 0.3)
+        assert_store_reads_the_layers(net)
+
+    def test_pruned_and_loaded_layers_are_read(self, kind, tmp_path):
+        from tensorard import checkpoint
+
+        net = store_net(kind)
+        net.sample(np.random.default_rng(0))
+        fl = net.layers[0].weight
+        fl.rank_variances[0][0] = 1e-9
+        pruned = factorized.prune(fl, 1e-6)
+        fl.factors, fl.rank_variances = pruned.factors, pruned.rank_variances
+        assert_store_reads_the_layers(net)
+        checkpoint.save_network(net, tmp_path / "net.npz")
+        loaded = checkpoint.load_network(tmp_path / "net.npz")
+        assert_store_reads_the_layers(loaded)
+        assert_same_arrays(all_arrays(loaded), all_arrays(net))

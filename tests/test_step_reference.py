@@ -4,16 +4,18 @@ The reference below is the earlier step, kept verbatim: ``LayerSample`` and
 ``LayerGrads`` records, and ``Network.sample``, ``forward``, ``backward``,
 ``kl_gradients`` and ``training._step_network`` with one branch per layer
 type (written here as functions of the network).  The current step is the
-library's ``training._train_step``, which runs one loop over each layer's
-list of Gaussians.  Both draw the same noise in the
-same order, so after k steps both generators must be in the same state.
+library's ``training._train_step``, which samples, takes the KL gradient,
+steps and updates the rank variances in one pass over the network's flat
+buffers of means and stds.  Both draw the same noise in the same order, so
+after k steps both generators must be in the same state.
 
 Where the current step builds W as the reference does, it applies the same
 arithmetic to each entry, and every mean, std and rank variance must agree
-bit for bit.  The CP and TT ``tensorized_linear`` layers here (12 -> 6 at
-rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
+bit for bit.  The CP and TT ``tensorized_linear`` first layers here (12 -> 6
+at rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
 another order; for those four cases the arrays must agree to 1e-12
-relative.  The reference's TTM embedding branch calls the current
+relative.  The nets of two ``tensorized_linear`` layers build W in both, so
+they are bitwise too.  The reference's TTM embedding branch calls the current
 ``FORMATS["ttm"].backprop_rows``, whose own references are in
 ``test_format_table.py`` and ``test_kernels.py``.
 """
@@ -275,8 +277,25 @@ def current_step(net, x, y, rng, lr, n_data, beta, weak_prior_std, prior, rank_s
 
 def _problem(kind, first):
     """A ``first`` layer of format ``kind`` (12 inputs or tokens, 6 outputs)
-    followed by a PlainLinear head, with a batch of 16 inputs and labels."""
+    followed by a PlainLinear head, with a batch of 16 inputs and labels.
+
+    ``first`` "two_tensorized_linear" is two tensorized_linear layers of
+    format ``kind`` instead, 12 -> 6 -> 3 at max ranks 4 and 2, so the prior
+    slots of the second layer's factors follow the first layer's rank
+    variances.  Neither layer multiplies through its factors there.
+    """
     rng = np.random.default_rng(1)
+    if first == "two_tensorized_linear":
+        layers = [
+            {"type": "tensorized_linear", "format": kind, "row_dims": [3, 4],
+             "col_dims": [2, 3], "max_rank": 4, "activation": "relu"},
+            {"type": "tensorized_linear", "format": kind, "row_dims": [2, 3],
+             "col_dims": [3, 1] if kind == "ttm" else [3], "max_rank": 2,
+             "activation": "identity"},
+        ]
+        x = rng.standard_normal((16, 12))
+        net = build_network(layers, 3, np.random.default_rng(2))
+        return net, x, rng.integers(0, 3, size=16)
     col_dims = [6] if first == "tensorized_linear" and kind != "ttm" else [2, 3]
     layer = {"type": first, "format": kind, "row_dims": [3, 4], "col_dims": col_dims,
              "max_rank": 3}
@@ -300,7 +319,7 @@ def _arrays(net):
     return out
 
 
-@pytest.mark.parametrize("first", ["tensorized_linear", "embedding"])
+@pytest.mark.parametrize("first", ["tensorized_linear", "embedding", "two_tensorized_linear"])
 @pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
 @pytest.mark.parametrize(
     "prior", [bayes.LogUniform(), bayes.HalfCauchy(0.3)], ids=["log_uniform", "half_cauchy"]
@@ -308,7 +327,8 @@ def _arrays(net):
 def test_steps_match_the_per_type_step_bitwise(kind, first, prior):
     ref, x, y = _problem(kind, first)
     cur = copy.deepcopy(ref)
-    assert isinstance(cur.layers[-1], PlainLinear)
+    head = TensorizedLinear if first == "two_tensorized_linear" else PlainLinear
+    assert isinstance(cur.layers[-1], head)
     rng_ref, rng_cur = np.random.default_rng(4), np.random.default_rng(4)
     for step in range(6):
         beta = min(1.0, step / 3)  # the first step runs with the KL switched off
@@ -316,8 +336,8 @@ def test_steps_match_the_per_type_step_bitwise(kind, first, prior):
         reference_step(ref, x, y, rng_ref, *hyper)
         current_step(cur, x, y, rng_cur, *hyper)
     split = first == "tensorized_linear" and kind in ("cp", "tt")
-    weight = cur.layers[0].weight if first == "tensorized_linear" else None
-    assert split == (weight is not None and cur.layers[0].takes_split(weight.point_means()))
+    assert split == any(layer.takes_split(layer.weight.point_means())
+                        for layer in cur.layers if isinstance(layer, TensorizedLinear))
     got, want = _arrays(cur), _arrays(ref)
     assert len(got) == len(want)
     for a, b in zip(got, want):
