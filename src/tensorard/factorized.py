@@ -8,9 +8,11 @@ automatic rank determination.
 own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
 rank caps, the row|col split of a linear product and the embedding row
 lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's.
-A TTM embedding row is the TT of each core's slice at the row's digit, so
-TT's kernels build just the looked-up rows and their gradients.  No caller
-tests a format's name.
+A TTM embedding builds just the looked-up rows: each row is the TT chain of
+each core's slice at the row's digit, batched over the distinct ids, and the
+lookup hands its sort, slices and left partials to the rows' backward as a
+memo, so the backward repeats none of the forward's work.  No caller tests a
+format's name.
 """
 
 from __future__ import annotations
@@ -271,12 +273,14 @@ class _Format:
         return self._split_madds(shapes, n_row)
 
     def lookup_rows(self, table, points, idx):
-        """Rows ``idx`` of the table ``points`` build, from the whole table."""
+        """Rows ``idx`` of the table ``points`` build, from the whole table,
+        and the memo :meth:`backprop_rows` takes: here ``idx`` itself."""
         full = reconstruct(table.kind, points)
-        return full.reshape(math.prod(table.row_dims), math.prod(table.col_dims))[idx]
+        return full.reshape(math.prod(table.row_dims), math.prod(table.col_dims))[idx], idx
 
     def backprop_rows(self, table, points, idx, row_grads):
-        """Factor gradients from those of rows ``idx``, through the whole table."""
+        """Factor gradients from those of the rows :meth:`lookup_rows` looked
+        up, through the whole table."""
         table_grad = np.zeros((math.prod(table.row_dims), math.prod(table.col_dims)))
         np.add.at(table_grad, idx, row_grads)
         tensor_grad = table_grad.reshape(table.tensor_dims)
@@ -466,9 +470,6 @@ class _TT(_Format):
 
     Split: L contracts the row cores into an I x r_b matrix and R the column
     cores into an r_b x J one, r_b being the bond at the boundary; M = I.
-
-    ``full`` and ``backprop`` also take cores that share leading batch axes,
-    (…, r_{n-1}, I_n, r_n): one TT per batch entry.
     """
 
     name = "tt"
@@ -507,32 +508,30 @@ class _TT(_Format):
         return _tt_left(cores)[..., 0]
 
     def shape(self, cores):
-        return tuple(f.shape[-2] for f in cores)
+        return tuple(f.shape[1] for f in cores)
 
     def backprop(self, cores, grad):
         """One left-to-right sweep: the running contraction of G with the
         leading cores times the right environment of the trailing cores gives
-        each core's gradient.  The environments are built once from the cores.
-        Batched cores (…, r_{n-1}, I_n, r_n) take G as (…, I_0..I_{d-1})."""
+        each core's gradient.  The environments are built once from the cores."""
         d = len(cores)
         # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
         rights = [None] * (d + 1)
         rights[d] = np.ones((1, 1))
         for i in range(d - 1, 0, -1):
-            *lead, r0, n, r1 = cores[i].shape
-            right = cores[i].reshape(*lead, r0 * n, r1) @ rights[i + 1]
-            rights[i] = right.reshape(*lead, r0, n * right.shape[-1])
+            r0, n, r1 = cores[i].shape
+            right = cores[i].reshape(r0 * n, r1) @ rights[i + 1]
+            rights[i] = right.reshape(r0, -1)
         # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
         # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
         grads = []
-        lead = cores[0].shape[:-3]
-        acc = grad.reshape(*lead, 1, math.prod(grad.shape[len(lead):]))
+        acc = grad.reshape(1, -1)
         for i, core in enumerate(cores):
-            *lead, r0, n, r1 = core.shape
-            acc = acc.reshape(*lead, r0 * n, rights[i + 1].shape[-1])
-            grads.append((acc @ rights[i + 1].swapaxes(-1, -2)).reshape(core.shape))
+            r0, n, r1 = core.shape
+            acc = acc.reshape(r0 * n, -1)
+            grads.append((acc @ rights[i + 1].T).reshape(core.shape))
             if i < d - 1:
-                acc = core.reshape(*lead, r0 * n, r1).swapaxes(-1, -2) @ acc
+                acc = core.reshape(r0 * n, r1).T @ acc
         return grads
 
     def _split_madds(self, shapes, n_row):
@@ -567,8 +566,8 @@ class _TTM(_TT):
     every core, so no row|col boundary falls between two cores (``n_row``
     equals the order) and the split rule never splits; W and its gradient
     are instead contracted through the bond that balances the merged sizes.
-    An embedding builds only its rows, through the TT kernels on the cores'
-    row slices."""
+    An embedding builds only its rows, one TT chain over the cores' row
+    slices per distinct id (:meth:`lookup_rows`)."""
 
     name = "ttm"
 
@@ -651,34 +650,58 @@ class _TTM(_TT):
         grads[-1] = g_b.reshape(cores[-1].shape)
         return grads
 
-    def _row_slices(self, cores, ids, row_dims):
-        """Each id's row digits, and each core's slices at them as
-        (U, r_{n-1}, J_n, r_n): one batch of TT cores, one TT per row."""
-        digits = np.unravel_index(ids, row_dims)
-        slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(cores, digits)]
-        return digits, slices
-
     def lookup_rows(self, table, points, idx):
-        """The unique ids' rows, each the TT full of its row slices."""
-        unique, inverse = np.unique(idx, return_inverse=True)
-        _, slices = self._row_slices(points, unique, table.row_dims)
-        return super().full(slices).reshape(unique.size, math.prod(table.col_dims))[inverse]
+        """The rows of ids ``idx`` and the memo :meth:`backprop_rows` takes.
 
-    def backprop_rows(self, table, points, idx, row_grads):
-        """Repeated ids' gradients are summed once, the TT sweep runs on the
-        unique ids' row slices, and a one-hot (I_n x U) GEMM adds each core's
-        per-id gradients into its I_n row slices, at a cost of
-        I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small."""
-        unique, inverse = np.unique(idx, return_inverse=True)
-        summed = np.zeros((unique.size, row_grads.shape[1]))
-        np.add.at(summed, inverse, row_grads)
-        digits, slices = self._row_slices(points, unique, table.row_dims)
-        per_id = super().backprop(slices, summed.reshape(unique.size, *table.col_dims))
+        One stable sort groups repeated ids.  Each distinct id's row is one
+        TT chain, batched over the distinct ids, of each core's slice at the
+        id's row digit: the left partial (U, J_0..J_k, r_{k+1}) times the
+        next slice.  The memo is (order, starts, digits, slices, lefts): the
+        sort, the start of each id's group in it, the distinct ids' digits,
+        the slices and every left partial."""
+        order = np.argsort(idx, kind="stable")
+        ids = idx[order]
+        first = np.empty(ids.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        u = starts.size
+        digits = np.unravel_index(ids[starts], table.row_dims)
+        slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(points, digits)]
+        lefts = [slices[0][:, 0]]  # r_0 = 1
+        for s in slices[1:]:
+            _, r0, n, r1 = s.shape
+            p = lefts[-1].shape[1]
+            lefts.append((lefts[-1] @ s.reshape(u, r0, n * r1)).reshape(u, p * n, r1))
+        rows = lefts[-1].reshape(u, math.prod(table.col_dims))[inverse]
+        return rows, (order, starts, digits, slices, lefts)
+
+    def backprop_rows(self, table, points, memo, row_grads):
+        """Repeated ids' gradients are summed once, per sorted group; a
+        right-to-left sweep against the memo's left partials gives each
+        distinct id's slice gradients, two batched GEMMs per core; and a
+        one-hot (I_n x U) GEMM adds them into each core's I_n row slices, at
+        a cost of I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are
+        small."""
+        order, starts, digits, slices, lefts = memo
+        u = starts.size
+        # acc: the summed gradient contracted with slices k+1.., as
+        # (U, J_0..J_k, r_{k+1}); the last core's r_d is 1.
+        acc = np.add.reduceat(row_grads[order], starts, axis=0)
+        per_id = [None] * len(slices)
+        for k in range(len(slices) - 1, 0, -1):
+            _, r0, n, r1 = slices[k].shape
+            acc = acc.reshape(u, lefts[k - 1].shape[1], n * r1)
+            per_id[k] = lefts[k - 1].swapaxes(1, 2) @ acc
+            acc = acc @ slices[k].reshape(u, r0, n * r1).swapaxes(1, 2)
+        per_id[0] = acc
         grads = []
         for core, d, g in zip(points, digits, per_id):
             r_in, rows, cols, r_out = core.shape
             one_hot = (d == np.arange(rows)[:, None]).astype(np.float64)
-            buf = one_hot @ g.reshape(unique.size, r_in * cols * r_out)
+            buf = one_hot @ g.reshape(u, r_in * cols * r_out)
             grads.append(
                 np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
             )
@@ -712,14 +735,12 @@ def _split(dims) -> int:
 
 
 def _tt_left(cores):
-    """TT cores contracted over their bonds from the left: (…, I_0..I_k, r).
-    Axes before a core's last three are batch axes, one TT per entry."""
-    out = cores[0][..., 0, :, :]  # r_0 = 1
+    """TT cores contracted over their bonds from the left: (I_0..I_k, r)."""
+    out = cores[0][0]  # r_0 = 1
     for core in cores[1:]:
-        *lead, r0, n, r1 = core.shape
-        modes = out.shape[len(lead):-1]
-        out = out.reshape(*lead, math.prod(modes), r0) @ core.reshape(*lead, r0, n * r1)
-        out = out.reshape(*lead, *modes, n, r1)
+        r0, n, r1 = core.shape
+        modes = out.shape[:-1]
+        out = (out.reshape(-1, r0) @ core.reshape(r0, n * r1)).reshape(*modes, n, r1)
     return out
 
 
@@ -915,7 +936,8 @@ def rank_moments(layer: FactorizedLayer, squares=None) -> list:
     variance is rank variance r, and ``count`` is how many entries that is.
     Every entry of a vector governs slices of the same size, so one count
     serves the whole vector.  ``squares`` holds each factor's mean^2 + std^2
-    when the caller has computed them already.
+    when the caller has computed them already; an entry for a factor with
+    no prior axis (the Tucker core) is never read and may be None.
     """
     if squares is None:
         squares = [f.mean * f.mean + f.std * f.std for f in layer.factors]

@@ -276,8 +276,10 @@ class Embedding:
         return self.table
 
     def forward(self, x, points):
-        """Rows of the drawn table for a batch of token ids; the ids are the entry."""
-        return embedding_lookup(self.table, points, x), x
+        """Rows of the drawn table for a batch of token ids; the entry is the
+        format's lookup memo."""
+        idx = _check_indices(x, self.num_tokens)
+        return self.table.format.lookup_rows(self.table, points, idx)
 
     def backward(self, entry, g, points, need_input_grad):
         """Mean-gradients of the table factors; token ids have no input gradient."""
@@ -337,6 +339,9 @@ class _GaussianStore:
     its segment.  ``rank_var`` holds every rank-variance vector end to end,
     each rebound to its view, and a last slot for the weak prior variance;
     ``prior_index`` maps every entry to the slot of its prior variance.
+    ``weights`` holds, per rank-controlled weight, the span of the buffers
+    its rank-prior factors fill (every factor but a Tucker core) and each
+    rank-prior factor's segment within that span, None for any other factor.
     Building the store copies the current values in.
     """
 
@@ -368,7 +373,13 @@ class _GaussianStore:
                 view[:] = v
                 fl.rank_variances[k] = view
                 first += v.size
-            self.weights.append((fl, factor_segments))
+            prior = {n for axes in fl.format.rank_axes(fl.order) for n, _, p in axes if p}
+            start = factor_segments[min(prior)][0].start
+            span = slice(start, factor_segments[max(prior)][0].stop)
+            self.weights.append((fl, span, [
+                (slice(seg.start - start, seg.stop - start), shape) if n in prior else None
+                for n, (seg, shape) in enumerate(factor_segments)
+            ]))
         self.counts = (len(flat), len(vectors))
 
     def holds(self, layers) -> bool:
@@ -537,13 +548,15 @@ class Network:
 
     def update_rank_variances(self, hyper_prior, step: float) -> None:
         """:func:`bayes.update_rank_variances` on every rank-controlled weight,
-        with mean^2 + std^2 computed once over the flat buffers."""
+        with mean^2 + std^2 computed once over the span of its rank-prior
+        factors; no other entry feeds the rank moments."""
         store = self._gaussian_store()
-        squares = store.mean * store.mean + store.std * store.std
-        for fl, segments in store.weights:
-            bayes.update_rank_variances(
-                fl, hyper_prior, step, [squares[seg].reshape(shape) for seg, shape in segments]
-            )
+        for fl, span, segments in store.weights:
+            mean, std = store.mean[span], store.std[span]
+            squares = mean * mean + std * std
+            bayes.update_rank_variances(fl, hyper_prior, step, [
+                None if s is None else squares[s[0]].reshape(s[1]) for s in segments
+            ])
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -585,9 +598,13 @@ def nll_multinomial(logits, labels) -> float:
 
 def embedding_lookup(table: FactorizedLayer, point_factors, indices) -> np.ndarray:
     """Rows of the reconstructed table for the given token indices; a TTM
-    table builds only those rows, the other formats the whole table."""
+    table builds only those rows, the other formats the whole table.
+
+    Only the rows: a training step calls the format's ``lookup_rows``
+    through :meth:`Embedding.forward`, which also keeps the memo that the
+    backward pass takes."""
     idx = _check_indices(indices, math.prod(table.row_dims))
-    return table.format.lookup_rows(table, point_factors, idx)
+    return table.format.lookup_rows(table, point_factors, idx)[0]
 
 
 def _check_indices(indices, num_tokens):

@@ -10,14 +10,18 @@ kernels those call.  The current code looks each format up in
 ``factorized.FORMATS`` and must agree with them bit for bit: values,
 shapes, dtypes and the types of rank reports.  The exceptions are the TTM
 reconstruction and its backprop, which now split at a bond, and the TTM
-embedding backward, which now runs the TT sweep on the cores' row slices;
-both sum in another order and must agree to 1e-12 relative.  Validation must accept and
-reject the same inputs; where the table gives every format one rank-entry
-count message (CP's read "too many values to unpack"), only the exception
-type is compared.  Shape validation is compared in ``test_rank_axes.py``.
+embedding backward, which now runs a right-to-left sweep on the cores' row
+slices against the left partials of the lookup; both sum in another order
+and must agree to 1e-12 relative.  The TTM row kernels are also checked
+against their previous form, which found the unique ids and ran the batched
+TT kernels on every call: rows bit for bit, gradients to 1e-12 relative.
+Validation must accept and reject the same inputs; where the table gives
+every format one rank-entry count message (CP's read "too many values to
+unpack"), only the exception type is compared.  Shape validation is compared in ``test_rank_axes.py``.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -423,6 +427,76 @@ def ref_embedding_backward(self, entry, g, points, need_input_grad):
     return ref_backprop_reconstruction(self.table.kind, points, tensor_grad), None
 
 
+# The TTM row kernels as they were before the lookup handed its work to the
+# backward: each call finds the unique ids, gathers the row slices and runs
+# the TT kernels batched over the ids (``_TT.full`` and ``_TT.backprop`` on
+# cores with a leading batch axis), and repeated ids are summed with
+# ``np.add.at``.
+
+
+def _batched_tt_left(cores):
+    out = cores[0][..., 0, :, :]  # r_0 = 1
+    for core in cores[1:]:
+        *lead, r0, n, r1 = core.shape
+        modes = out.shape[len(lead):-1]
+        out = out.reshape(*lead, math.prod(modes), r0) @ core.reshape(*lead, r0, n * r1)
+        out = out.reshape(*lead, *modes, n, r1)
+    return out
+
+
+def _batched_tt_backprop(cores, grad):
+    d = len(cores)
+    # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
+    rights = [None] * (d + 1)
+    rights[d] = np.ones((1, 1))
+    for i in range(d - 1, 0, -1):
+        *lead, r0, n, r1 = cores[i].shape
+        right = cores[i].reshape(*lead, r0 * n, r1) @ rights[i + 1]
+        rights[i] = right.reshape(*lead, r0, n * right.shape[-1])
+    # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
+    # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
+    grads = []
+    lead = cores[0].shape[:-3]
+    acc = grad.reshape(*lead, 1, math.prod(grad.shape[len(lead):]))
+    for i, core in enumerate(cores):
+        *lead, r0, n, r1 = core.shape
+        acc = acc.reshape(*lead, r0 * n, rights[i + 1].shape[-1])
+        grads.append((acc @ rights[i + 1].swapaxes(-1, -2)).reshape(core.shape))
+        if i < d - 1:
+            acc = core.reshape(*lead, r0 * n, r1).swapaxes(-1, -2) @ acc
+    return grads
+
+
+def _row_slices(cores, ids, row_dims):
+    digits = np.unravel_index(ids, row_dims)
+    slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(cores, digits)]
+    return digits, slices
+
+
+def ref_ttm_lookup_rows(table, points, idx):
+    unique, inverse = np.unique(idx, return_inverse=True)
+    _, slices = _row_slices(points, unique, table.row_dims)
+    rows = _batched_tt_left(slices)[..., 0]
+    return rows.reshape(unique.size, math.prod(table.col_dims))[inverse]
+
+
+def ref_ttm_backprop_rows(table, points, idx, row_grads):
+    unique, inverse = np.unique(idx, return_inverse=True)
+    summed = np.zeros((unique.size, row_grads.shape[1]))
+    np.add.at(summed, inverse, row_grads)
+    digits, slices = _row_slices(points, unique, table.row_dims)
+    per_id = _batched_tt_backprop(slices, summed.reshape(unique.size, *table.col_dims))
+    grads = []
+    for core, d, g in zip(points, digits, per_id):
+        r_in, rows, cols, r_out = core.shape
+        one_hot = (d == np.arange(rows)[:, None]).astype(np.float64)
+        buf = one_hot @ g.reshape(unique.size, r_in * cols * r_out)
+        grads.append(
+            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
+        )
+    return grads
+
+
 # -- cases --------------------------------------------------------------------
 
 # (kind, row_dims, col_dims, ranks): size-1 modes, rank-1 bonds, one-sided
@@ -579,10 +653,12 @@ class TestMatchesReference:
         points = layer.point_means()
         for size in (1, 5, 40):
             ids = rng.integers(0, table.num_tokens, size)
-            assert_bitwise(embedding_lookup(layer, points, ids),
-                           ref_embedding_lookup(layer, points, ids))
+            want_rows = ref_embedding_lookup(layer, points, ids)
+            assert_bitwise(embedding_lookup(layer, points, ids), want_rows)
+            rows, entry = table.forward(ids, points)
+            assert_bitwise(rows, want_rows)
             g = rng.standard_normal((size, table.embed_dim))
-            got, got_in = table.backward(ids, g, points, False)
+            got, got_in = table.backward(entry, g, points, False)
             want, want_in = ref_embedding_backward(table, ids, g, points, False)
             assert got_in is want_in is None
             assert len(got) == len(want)
@@ -592,6 +668,39 @@ class TestMatchesReference:
             same = assert_close if layer.kind == "ttm" else assert_bitwise
             for a, b in zip(got, want):
                 same(a, b)
+
+
+# (row_dims, col_dims, ranks, ids) for the TTM row kernels: no ids, one id 50
+# times, a table of one core (which ``init_layer`` refuses, so the kernels
+# take the dims alone), and unsorted repeats over three and four cores.
+TTM_ROW_CASES = [
+    ([3, 4, 2], [2, 3, 2], [2, 3], []),
+    ([3, 4, 2], [2, 3, 2], [2, 3], [17] * 50),
+    ([6], [4], [], [5, 0, 5, 3, 0, 5]),
+    ([3, 4, 2], [2, 1, 3], [3, 2], [21, 4, 21, 0, 9, 4, 21, 23, 0, 9, 21]),
+    ([2, 3, 2, 3], [2, 2, 1, 2], [2, 4, 3], [35, 7, 7, 12, 35, 0, 7, 12, 30, 35]),
+]
+
+
+@pytest.mark.parametrize("row_dims,col_dims,ranks,ids", TTM_ROW_CASES,
+                         ids=[f"{c[0]}x{c[1]}-{len(c[3])}ids" for c in TTM_ROW_CASES])
+def test_ttm_rows_match_the_per_call_kernels(row_dims, col_dims, ranks, ids):
+    """``lookup_rows`` builds the same rows, bit for bit, as the kernels that
+    found the unique ids on every call; ``backprop_rows`` on its memo sums
+    in another order, so the gradients agree to 1e-12 relative."""
+    rng = np.random.default_rng(len(ids))
+    fmt = FORMATS["ttm"]
+    table = SimpleNamespace(row_dims=row_dims, col_dims=col_dims)
+    points = [rng.standard_normal(s) for s in fmt.factor_shapes(row_dims, col_dims, ranks)]
+    ids = np.array(ids, dtype=np.int64)
+    g = rng.standard_normal((ids.size, math.prod(col_dims)))
+    rows, memo = fmt.lookup_rows(table, points, ids)
+    assert_bitwise(rows, ref_ttm_lookup_rows(table, points, ids))
+    got = fmt.backprop_rows(table, points, memo, g)
+    want = ref_ttm_backprop_rows(table, points, ids, g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_close(a, b)
 
 
 # -- validation -------------------------------------------------------------------

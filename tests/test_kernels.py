@@ -12,9 +12,10 @@ row digits; for linear layers, the pass that rebuilds W, runs the dense GEMMs
 and maps dW back onto the factors.  They call the current ``dense``
 primitives, which are checked on their own.  The kernels in ``factorized``
 and ``network`` sum in another order, so the two must agree to 1e-12
-relative, not bit for bit.  A TTM embedding now runs the TT kernels on its
+relative, not bit for bit.  A TTM embedding now runs a TT chain on its
 cores' row slices, one TT per looked-up token, and is reached here through
-``embedding_lookup`` and ``Embedding.backward``.
+``embedding_lookup`` and through ``Embedding.forward`` and
+``Embedding.backward``, the backward taking the forward's cache entry.
 """
 
 import numpy as np
@@ -386,8 +387,10 @@ def check_embedding_kernels(row_dims, col_dims, ranks, idx, rng):
     digits = _digit_matrix(unique, row_dims)
     want_rows = _ttm_rows(cores, digits).reshape(unique.size, -1)[inverse]
     assert_close(embedding_lookup(layer, cores, idx), want_rows)
+    rows, entry = table.forward(idx, cores)
+    assert_close(rows, want_rows)
     want = _ttm_embedding_backprop(cores, idx, grads, row_dims)
-    got, no_in = table.backward(idx, grads, cores, False)
+    got, no_in = table.backward(entry, grads, cores, False)
     assert no_in is None
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -434,7 +437,7 @@ def test_embedding_kernels_match_reference_on_edge_cases(case):
 
 
 # (kind, row_dims, col_dims, ranks): each format's table, a TTM one of three
-# cores so the TT sweep over its row slices runs an interior core.
+# cores so the sweep over its row slices runs an interior core.
 EMBEDDING_FD_CASES = [
     ("cp", [3, 4], [2, 3], 3),
     ("tucker", [3, 4], [2, 3], [2, 3, 2, 2]),
@@ -448,13 +451,25 @@ def test_embedding_gradients_match_central_differences(kind, row_dims, col_dims,
     """Criterion 5 for the embedding backward: every factor entry's gradient
     of <lookup(ids), G> against a central difference, on a batch that
     repeats ids."""
+    check_central_differences(kind, row_dims, col_dims, ranks, [0, 5, 5, 11, 0, 7, 5])
+
+
+def test_ttm_embedding_gradients_match_central_differences_on_repeats():
+    """The same on a three-core TTM table and a batch in which most ids
+    repeat, out of order, so most sorted groups sum several rows."""
+    ids = [9, 2, 9, 9, 4, 2, 11, 9, 0, 4, 9, 2]
+    check_central_differences("ttm", [3, 2, 2], [2, 2, 1], [3, 2], ids)
+
+
+def check_central_differences(kind, row_dims, col_dims, ranks, ids):
     rng = np.random.default_rng(len(kind))
     layer = factorized.init_layer(kind, row_dims, col_dims, ranks, rng)
     table = Embedding(layer, int(np.prod(row_dims)), int(np.prod(col_dims)))
     points = [rng.standard_normal(f.shape) * 0.5 for f in layer.factors]
-    ids = np.array([0, 5, 5, 11, 0, 7, 5])
+    ids = np.array(ids)
     g = rng.standard_normal((ids.size, table.embed_dim))
-    grads, _ = table.backward(ids, g, points, False)
+    _, entry = table.forward(ids, points)
+    grads, _ = table.backward(entry, g, points, False)
     # The inner product is linear in each single entry, so the difference
     # has no truncation error and h only sets the roundoff.
     h = 1e-3

@@ -286,7 +286,9 @@ class TestEmbedding:
             ref = factorized.backprop_reconstruction(
                 "ttm", points, dense.reshape(table.tensor_dims)
             )
-            fast = factorized.FORMATS["ttm"].backprop_rows(table, points, idx, g)
+            fmt = factorized.FORMATS["ttm"]
+            _, memo = fmt.lookup_rows(table, points, idx)
+            fast = fmt.backprop_rows(table, points, memo, g)
             for a, b in zip(ref, fast):
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -307,7 +309,9 @@ class TestEmbedding:
         ref = factorized.backprop_reconstruction(
             "ttm", points, dense.reshape(table.tensor_dims)
         )
-        fast, _ = Embedding(table, n_tok, 4).backward(idx, g, points, False)
+        embedding = Embedding(table, n_tok, 4)
+        _, entry = embedding.forward(idx, points)
+        fast, _ = embedding.backward(entry, g, points, False)
         for a, b in zip(ref, fast):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -725,6 +729,29 @@ class TestFlatStore:
         fl = net.layers[0].weight
         fl.rank_variances[0] = np.full(fl.rank_variances[0].size, 0.3)
         assert_store_reads_the_layers(net)
+
+    def test_rank_update_reads_only_rank_prior_factors(self, kind):
+        """NaN in the entries without a rank prior (Tucker cores, biases and
+        the plain weight) leaves the updated rank variances bit-equal to
+        those of a clean copy."""
+        from tensorard.bayes import HalfCauchy
+
+        net = store_net(kind)
+        clean = copy.deepcopy(net)
+        for layer in net.layers:
+            fl = layer.factorized
+            weak = [layer.bias] + ([layer.weight] if fl is None else [])
+            if fl is not None and fl.kind == "tucker":
+                weak.append(fl.factors[-1])
+            for g in weak:
+                g.mean[...] = np.nan
+                g.std[...] = np.nan
+        for n in (net, clean):
+            n.update_rank_variances(HalfCauchy(0.3), 0.5)
+        got = [v for _, fl in net.factorized_layers() for v in fl.rank_variances]
+        assert_same_arrays(got, [v for _, fl in clean.factorized_layers()
+                                 for v in fl.rank_variances])
+        assert all(np.isfinite(v).all() for v in got)
 
     def test_pruned_and_loaded_layers_are_read(self, kind, tmp_path):
         from tensorard import checkpoint

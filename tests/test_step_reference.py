@@ -16,7 +16,8 @@ at rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
 another order; for those four cases the arrays must agree to 1e-12
 relative.  The nets of two ``tensorized_linear`` layers build W in both, so
 they are bitwise too.  The reference's TTM embedding branch calls the current
-``FORMATS["ttm"].backprop_rows``, whose own references are in
+``FORMATS["ttm"].lookup_rows`` and hands its memo to
+``FORMATS["ttm"].backprop_rows``; their own references are in
 ``test_format_table.py`` and ``test_kernels.py``.
 """
 
@@ -104,7 +105,10 @@ def forward(self, inputs, sample=None, want_cache: bool = False):
         if isinstance(layer, Embedding):
             idx = _check_indices(x, layer.num_tokens)
             entry["indices"] = idx
-            x = embedding_lookup(layer.table, draw.points, idx)
+            if layer.table.kind == "ttm":
+                x, entry["memo"] = FORMATS["ttm"].lookup_rows(layer.table, draw.points, idx)
+            else:
+                x = embedding_lookup(layer.table, draw.points, idx)
         else:
             if isinstance(layer, TensorizedLinear):
                 w = factorized.reconstruct(layer.weight.kind, draw.points)
@@ -158,7 +162,7 @@ def backward(self, cache, labels):
         if isinstance(layer, Embedding):
             idx = entry["indices"]
             if layer.table.kind == "ttm":
-                fgrads = FORMATS["ttm"].backprop_rows(layer.table, draw.points, idx, g)
+                fgrads = FORMATS["ttm"].backprop_rows(layer.table, draw.points, entry["memo"], g)
             else:
                 table_grad = np.zeros((layer.num_tokens, layer.embed_dim))
                 np.add.at(table_grad, idx, g)
