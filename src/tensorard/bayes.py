@@ -23,6 +23,7 @@ __all__ = [
     "LogUniform",
     "HalfCauchy",
     "hyper_prior_from_config",
+    "check_prior_std",
     "optimal_rank_var_log_uniform",
     "optimal_rank_var_half_cauchy",
     "kl_gaussian",
@@ -80,6 +81,17 @@ def optimal_rank_var_half_cauchy(moment_sum, count, scale: float):
     return (m - s2 * d + np.sqrt(disc)) / (2 * d + 2)
 
 
+def check_prior_std(name, std):
+    """Raise ValueError naming ``name`` unless ``std`` is positive and its
+    square is a normal, finite float; a smaller square is subnormal or 0 and
+    a larger one inf, and either drives the KL or the rank update non-finite."""
+    if not std > 0:
+        raise ValueError(f"{name} must be positive")
+    if not np.finfo(float).tiny <= std * std < np.inf:
+        raise ValueError(f"{name} must have a normal, finite square; "
+                         f"{std!r} squared is {std * std!r}")
+
+
 @dataclass(frozen=True)
 class LogUniform:
     """Improper 1/x prior on the rank stddevs; parameter-free, fat-tailed."""
@@ -103,8 +115,7 @@ class HalfCauchy:
     name = "half_cauchy"
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("half-Cauchy scale must be positive")
+        check_prior_std("half-Cauchy scale", self.scale)
 
     def optimal_rank_var(self, moment_sum, count):
         return optimal_rank_var_half_cauchy(moment_sum, count, self.scale)

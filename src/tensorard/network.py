@@ -10,7 +10,8 @@ W = L·M·Rᵀ, whenever its format splits there and that takes fewer
 multiply-adds than the dense product; otherwise a pass builds the weight
 matrix from the sampled (or mean) factors and the backward pass maps the
 dense weight gradient back onto the factor entries.  Either way the
-gradients are exact.  An embedding's format looks up its rows.
+gradients are exact.  An embedding's format looks up its rows.  A network's
+gradients are flat (d/dmean, d/dstd) pairs in the layout of its buffers.
 
 Each layer class also owns its forward and backward pass, its dense
 parameter count, its rank-controlled weight and its checkpoint state, and
@@ -38,7 +39,6 @@ __all__ = [
     "nll_multinomial",
     "embedding_lookup",
     "build_network",
-    "flat_gradients",
 ]
 
 ACTIVATIONS = ("relu", "identity")
@@ -410,13 +410,6 @@ class _GaussianStore:
         return self.rank_var[self.prior_index]
 
 
-def flat_gradients(grads):
-    """The (d/dmean, d/dstd) arrays of per-layer gradients, each laid end to
-    end in the order of :meth:`Network.flat_gaussians`."""
-    return (np.concatenate([dm for layer in grads for dm, _ in layer], axis=None),
-            np.concatenate([ds for layer in grads for _, ds in layer], axis=None))
-
-
 class Network:
     """Ordered layers ending in a ``classes``-way classifier head."""
 
@@ -460,9 +453,9 @@ class Network:
 
     # -- sampling ------------------------------------------------------------
     #
-    # A draw holds one (points, noises) pair per layer and a gradient one
-    # list of (d/dmean, d/dstd) pairs per layer, each aligned with
-    # ``layer.gaussians()``.
+    # A draw holds one (points, noises) pair per layer, each aligned with
+    # ``layer.gaussians()``; a gradient, one (d/dmean, d/dstd) pair of flat
+    # arrays aligned with :meth:`flat_gaussians`.
 
     def sample(self, rng: np.random.Generator):
         """One joint reparameterized draw of every weight and bias.
@@ -495,7 +488,8 @@ class Network:
         return x
 
     def backward(self, cache, labels):
-        """Gradients of the batch-mean NLL w.r.t. every variational parameter.
+        """Gradients (d/dmean, d/dstd) of the batch-mean NLL w.r.t. every
+        variational parameter, as two flat arrays.
 
         Requires a cache from a forward pass in sampled mode; the recorded z
         turns each likelihood mean-gradient into the matching std-gradient.
@@ -507,14 +501,18 @@ class Network:
         g[np.arange(batch), labels] -= 1.0
         g /= batch
 
-        grads = [None] * len(self.layers)
+        store = self._gaussian_store()
+        grads = np.empty(store.mean.size), np.empty(store.mean.size)
+        mean_views, std_views = map(store.views, grads)
         for i in range(len(self.layers) - 1, -1, -1):
             entry, points, noises = records[i]
             if noises is None:
                 raise ValueError("backward needs a sampled forward pass (missing z record)")
             # nothing reads the input gradient of the first layer
             d_means, g = self.layers[i].backward(entry, g, points, i > 0)
-            grads[i] = [(dm, z * dm) for z, dm in zip(noises, d_means)]
+            for z, dm, mean_view, std_view in zip(noises, d_means, mean_views[i], std_views[i]):
+                mean_view[...] = dm
+                np.multiply(z, dm, out=std_view)
         return grads
 
     # -- KL over the whole model -------------------------------------------------
@@ -540,11 +538,10 @@ class Network:
         return total
 
     def kl_gradients(self, weak_prior_std: float = 1.0):
-        """KL-part gradients in the same structure as :meth:`backward` returns."""
+        """KL-part gradients (d/dmean, d/dstd), laid out as :meth:`backward`'s."""
         store = self._gaussian_store()
         var = store.prior_variances(weak_prior_std * weak_prior_std)
-        d_mean, d_std = bayes.kl_gaussian_gradients(store.mean, store.std, var)
-        return [list(zip(m, s)) for m, s in zip(store.views(d_mean), store.views(d_std))]
+        return bayes.kl_gaussian_gradients(store.mean, store.std, var)
 
     def update_rank_variances(self, hyper_prior, step: float) -> None:
         """:func:`bayes.update_rank_variances` on every rank-controlled weight,

@@ -74,8 +74,7 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.weak_prior_std <= 0:
-            raise ValueError("weak_prior_std must be positive")
+        bayes.check_prior_std("weak_prior_std", self.weak_prior_std)
         if self.init_std_ratio <= 0:
             raise ValueError("init_std_ratio must be positive")
 
@@ -149,21 +148,23 @@ def _apply_update(param, like_grad, kl_grad, lr, n_data, beta):
 
 
 def _step_network(net, like, klg, lr, n_data, beta):
-    """One :func:`_apply_update` of every mean and one of every std, over the
-    network's flat buffers, then the floor on every std."""
+    """One :func:`_apply_update` of the flat means and one of the flat stds by
+    the flat (d/dmean, d/dstd) pairs ``like`` and ``klg``, then the std floor."""
     means, stds = net.flat_gaussians()
-    like_mean, like_std = network.flat_gradients(like)
-    kl_mean, kl_std = network.flat_gradients(klg)
-    _apply_update(means, like_mean, kl_mean, lr, n_data, beta)
-    _apply_update(stds, like_std, kl_std, lr, n_data, beta)
+    _apply_update(means, like[0], klg[0], lr, n_data, beta)
+    _apply_update(stds, like[1], klg[1], lr, n_data, beta)
     np.maximum(stds, SIGMA_FLOOR, out=stds)
 
 
 def _find_bad_layer(net, logits):
+    """The first layer holding a non-finite mean, std or rank variance; else
+    the last layer if the logits are not finite; else "unknown"."""
     for i, layer in enumerate(net.layers):
-        for g in layer.gaussians():
-            if not (np.isfinite(g.mean).all() and np.isfinite(g.std).all()):
-                return i
+        arrays = [a for g in layer.gaussians() for a in (g.mean, g.std)]
+        if layer.factorized is not None:
+            arrays += layer.factorized.rank_variances
+        if not all(np.isfinite(a).all() for a in arrays):
+            return i
     if logits is not None and not np.isfinite(logits).all():
         return len(net.layers) - 1
     return "unknown"

@@ -312,6 +312,13 @@ def test_criterion_4_half_cauchy_vs_oracle():
 
 # -- criterion 5: gradient integrity ---------------------------------------------
 
+
+def per_gaussian(net, grads):
+    """A flat (d/dmean, d/dstd) gradient pair read back per layer, one pair per
+    Gaussian, through the views of the network's store."""
+    store = net._gaussian_store()
+    return [list(zip(m, s)) for m, s in zip(*map(store.views, grads))]
+
 GRAD_CASES = {
     "cp": {"row_dims": [3, 2], "col_dims": [4], "max_rank": 3},
     "tucker": {"row_dims": [3, 2], "col_dims": [4], "max_rank": [2, 2, 3]},
@@ -330,7 +337,7 @@ def test_criterion_5_likelihood_gradients(kind):
     y = rng.integers(0, 4, size=6)
     state = net.sample(np.random.default_rng(52))
     _, cache = net.forward(x, sample=state, want_cache=True)
-    grads = net.backward(cache, y)
+    grads = per_gaussian(net, net.backward(cache, y))
     layer = net.layers[0]
     noises = state[0][1]
 
@@ -402,7 +409,7 @@ def test_criterion_5_likelihood_gradients_through_the_split(kind, position):
     y = rng.integers(0, out, size=6)
     state = net.sample(np.random.default_rng(56))
     _, cache = net.forward(x, sample=state, want_cache=True)
-    grads = net.backward(cache, y)
+    grads = per_gaussian(net, net.backward(cache, y))
 
     def loss():
         st = [([g.mean + z * g.std for g, z in zip(layer.gaussians(), noises)], noises)

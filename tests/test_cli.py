@@ -605,12 +605,26 @@ def test_unreadable_paths_and_inputs_exit_two(tmp_path, capsys, case):
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+# Prior stds whose square underflows to 0, is subnormal or overflows to inf.
+BAD_WEAK_PRIOR_STDS = ("1e-300", "1e-160", "1e200")
+BAD_HALF_CAUCHY_SCALES = ("1e-300", "1e-160", "1e300")
+
+
 def _bad_spec_argv(tmp_path, case):
-    """The argv of one bad rank, seed or spec-file case under ``tmp_path``, and
-    the part of its message that names the field, flag or file at fault."""
+    """The argv of one bad rank, seed, prior std or spec-file case under
+    ``tmp_path``, and the part of its message that names the field, flag or
+    file at fault."""
     spec = synthetic_runspec(tmp_path / "run", epochs=1)
     layer = spec["model"]["layers"][0]
+    kind, _, value = case.rpartition(" ")
+    if kind == "weak_prior_std":
+        spec["train"]["weak_prior_std"] = float(value)
+    elif kind == "half_cauchy scale":
+        spec["train"]["hyper_prior"] = {"kind": "half_cauchy", "scale": float(value)}
     named = {
+        "weak_prior_std": "error: weak_prior_std must have a normal, finite square",
+        "half_cauchy scale": "error: half-Cauchy scale must have a normal, finite square",
+    }.get(kind) or {
         "linear layer without max_rank": "model/layers/0: 'max_rank' is a required property",
         "embedding layer without max_rank": "model/layers/0: 'max_rank' is a required property",
         "layer with max_ranks": "'max_ranks' was unexpected",
@@ -662,11 +676,14 @@ def _bad_spec_argv(tmp_path, case):
     "layer with max_ranks", "max_rank 0", "max_rank [0]", "true_rank [0]",
     "cp max_rank [2, 2]", "train seed -1", "data seed -1",
     "train --seed -1", "predict --seed -1", "synth-gen spec not JSON",
+    *(f"weak_prior_std {v}" for v in BAD_WEAK_PRIOR_STDS),
+    *(f"half_cauchy scale {v}" for v in BAD_HALF_CAUCHY_SCALES),
 ])
 def test_bad_ranks_seeds_and_spec_files_exit_two(tmp_path, capsys, case):
     """A missing or misnamed rank key, a rank below 1 (alone or in a list), a
-    rank list of the wrong length, a negative seed and a spec file that is not
-    JSON exit 2 with a message naming what is at fault."""
+    rank list of the wrong length, a negative seed, a weak prior std or
+    half-Cauchy scale whose square is not a normal, finite float and a spec
+    file that is not JSON exit 2 with a message naming what is at fault."""
     argv, named = _bad_spec_argv(tmp_path, case)
     capsys.readouterr()
     try:

@@ -34,6 +34,13 @@ def tiny_net(kind="cp", ranks=3, activation="identity", seed=3, classes=4):
     )
 
 
+def per_gaussian(net, grads):
+    """A flat (d/dmean, d/dstd) gradient pair read back per layer, one pair per
+    Gaussian, through the views of the network's store."""
+    store = net._gaussian_store()
+    return [list(zip(m, s)) for m, s in zip(*map(store.views, grads))]
+
+
 def zero_noise_state(net):
     return [
         (
@@ -171,7 +178,7 @@ class TestBackward:
         y = rng.integers(0, 4, size=6)
         state = net.sample(np.random.default_rng(10))
         _, cache = net.forward(x, sample=state, want_cache=True)
-        grads = net.backward(cache, y)
+        grads = per_gaussian(net, net.backward(cache, y))
         layer = net.layers[0]
         noises = state[0][1]
 
@@ -206,7 +213,7 @@ class TestBackward:
         y = rng.integers(0, 4, size=5)
         state = net.sample(np.random.default_rng(14))
         _, cache = net.forward(x, sample=state, want_cache=True)
-        grads = net.backward(cache, y)
+        grads = per_gaussian(net, net.backward(cache, y))
         for z, (gm, gs) in zip(state[0][1], grads[0]):
             np.testing.assert_allclose(gs, z * gm, atol=1e-15)
 
@@ -217,7 +224,7 @@ class TestBackward:
         y = np.array([0, 1, 0, 1])
         state = zero_noise_state(net)
         _, cache = net.forward(x, sample=state, want_cache=True)
-        grads = net.backward(cache, y)
+        grads = per_gaussian(net, net.backward(cache, y))
         for g, _ in grads[0]:
             np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
@@ -344,7 +351,7 @@ class TestEmbedding:
         labels = np.array([0, 2, 1, 2])
         state = net.sample(np.random.default_rng(32))
         _, cache = net.forward(tokens, sample=state, want_cache=True)
-        grads = net.backward(cache, labels)
+        grads = per_gaussian(net, net.backward(cache, labels))
         layer = net.layers[0]
         noises = state[0][1]
 
@@ -388,7 +395,7 @@ class TestEmbedding:
         state = net.sample(np.random.default_rng(22))
         logits, cache = net.forward(tokens, sample=state, want_cache=True)
         assert logits.shape == (4, 3)
-        grads = net.backward(cache, labels)
+        grads = per_gaussian(net, net.backward(cache, labels))
         # one gradient pair per table core, none for a bias
         assert len(grads[0]) == len(net.layers[0].table.factors)
         # finite-difference spot check on the first embedding core
@@ -427,7 +434,7 @@ class TestEmbedding:
         labels = np.array([1, 3, 0, 3, 2])
         state = net.sample(np.random.default_rng(41))
         _, cache = net.forward(tokens, sample=state, want_cache=True)
-        grads = net.backward(cache, labels)
+        grads = per_gaussian(net, net.backward(cache, labels))
         layer = net.layers[0]
         noises = state[0][1]
 
@@ -576,7 +583,7 @@ def _check_kl_gradients(net):
     from tensorard.bayes import LogUniform
 
     prior = LogUniform()
-    grads = net.kl_gradients(weak_prior_std=1.3)
+    grads = per_gaussian(net, net.kl_gradients(weak_prior_std=1.3))
     h = 1e-6
     checks = []
     for layer, layer_grads in zip(net.layers, grads):
@@ -675,7 +682,8 @@ def assert_store_reads_the_layers(net, seed=0):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     prior = HalfCauchy(0.3)
     assert net.kl_total(prior, weak_prior_std=1.3) == reference_kl_total(net, prior, 1.3)
-    assert_same_arrays(net.kl_gradients(weak_prior_std=1.3), reference_kl_gradients(net, 1.3))
+    assert_same_arrays(per_gaussian(net, net.kl_gradients(weak_prior_std=1.3)),
+                       reference_kl_gradients(net, 1.3))
 
 
 def all_arrays(net):
@@ -701,6 +709,25 @@ class TestFlatStore:
         # A second call reuses the store and still reads the current values.
         net.layers[0].bias.mean[...] = 0.25
         assert_store_reads_the_layers(net, seed=1)
+
+    def test_gradients_are_flat_pairs_aligned_with_the_buffers(self, kind):
+        """``backward`` and ``kl_gradients`` each return two flat float64
+        arrays the size of the buffers; read through the store's views, the
+        likelihood's std half is z times its mean half, bit for bit."""
+        net = store_net(kind)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((6, 12)), rng.integers(0, 3, 6)
+        state = net.sample(rng)
+        _, cache = net.forward(x, sample=state, want_cache=True)
+        means, _ = net.flat_gaussians()
+        for grads in (net.backward(cache, y), net.kl_gradients()):
+            assert len(grads) == 2
+            for a in grads:
+                assert a.dtype == np.float64 and a.shape == means.shape
+        like = per_gaussian(net, net.backward(cache, y))
+        for (_, noises), layer_grads in zip(state, like):
+            for z, (d_mean, d_std) in zip(noises, layer_grads):
+                assert d_std.tobytes() == (z * d_mean).tobytes()
 
     def test_training_a_deep_copy_leaves_the_original(self, kind):
         from tensorard import training

@@ -158,7 +158,7 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(net, data, cfg)
 
-    @pytest.mark.parametrize("where", ["bias_mean", "factor_std"])
+    @pytest.mark.parametrize("where", ["bias_mean", "factor_std", "rank_variance"])
     def test_divergence_blames_the_layer_holding_the_nan(self, where):
         data, _ = gen_synthetic("cp", [4], [3], 1, num_samples=160, seed=0)
         net = build_network(
@@ -172,7 +172,8 @@ class TestTrain:
             rng=np.random.default_rng(1),
         )
         layer = net.layers[0]
-        target = layer.bias.mean if where == "bias_mean" else layer.weight.factors[1].std
+        target = {"bias_mean": layer.bias.mean, "factor_std": layer.weight.factors[1].std,
+                  "rank_variance": layer.weight.rank_variances[0]}[where]
         target.flat[0] = np.nan
         cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=0)
         with pytest.raises(TrainingDiverged) as caught:

@@ -11,7 +11,15 @@ run trains the CP linear net in ``fixed_rank`` mode under LogUniform, where
 the KL weight stays 0 and no rank-variance update runs.  For
 every run the script prints the return code and SHA-256 digests of
 ``metrics.csv``, ``ranks.json``, the report less its wall time, and every
-array of ``checkpoint_final.npz`` (``meta`` included), one per line.
+array of ``checkpoint_final.npz`` (``meta`` included), one per line, after a
+header line naming the numpy version and the BLAS it was built against.  The
+output holds no path and does not depend on the BLAS thread count.
+
+``tools/golden_digests.txt`` holds this output for the current tree, and
+``tests/test_golden.py`` runs the script in-process against it.  A change that
+moves numbers on purpose regenerates the file:
+
+    PYTHONPATH=src python tools/golden_runs.py OUT > tools/golden_digests.txt
 
 A refactor that must not change any number runs this once on the old tree and
 once on the new one, and the two outputs must be identical:
@@ -105,6 +113,12 @@ def embedding3_spec(fmt, out):
     return model, data
 
 
+def header() -> str:
+    """The numpy version and the BLAS it was built against, as one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '?')}"
+
+
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -185,6 +199,7 @@ def main(argv):
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
+    print(header())
     rng = np.random.default_rng(5)
     tokens = rng.integers(0, 20, size=160)
     datasets.save_dataset(datasets.LabeledDataset(tokens, tokens % 3, 3),
