@@ -1,6 +1,6 @@
 """The golden runs against their committed digests.
 
-``tools/golden_runs.py`` trains 22 short runs through ``tensorard train``
+``tools/golden_runs.py`` trains 23 short runs through ``tensorard train``
 (every format as a linear and as an embedding net, under both hyper-priors;
 see its docstring) and prints SHA-256 digests of each run's metrics, ranks,
 report and final checkpoint.  This test runs it in-process and compares its

@@ -1,4 +1,4 @@
-"""Golden runs: digests of 22 short `tensorard train` runs, for refactor gates.
+"""Golden runs: digests of 23 short `tensorard train` runs, for refactor gates.
 
 Each format (cp, tucker, tt, ttm) trains as a two-layer linear net and as an
 embedding + plain-head net, under LogUniform and HalfCauchy(0.3) hyper-priors,
@@ -8,8 +8,10 @@ per-entry ``true_rank`` list, under LogUniform.  One more run trains a TTM
 embedding table of three cores, under LogUniform; every token batch repeats
 ids, so its backward sums repeated rows and runs an interior core.  A last
 run trains the CP linear net in ``fixed_rank`` mode under LogUniform, where
-the KL weight stays 0 and no rank-variance update runs.  For
-every run the script prints the return code and SHA-256 digests of
+the KL weight stays 0 and no rank-variance update runs.  The 23rd run trains
+the CP linear net under LogUniform with a hidden 6 -> 6 ``plain_linear``
+(relu) between its two layers; with three layers, the order of the KL's
+per-layer sum shows in its digests.  For every run the script prints the return code and SHA-256 digests of
 ``metrics.csv``, ``ranks.json``, the report less its wall time, and every
 array of ``checkpoint_final.npz`` (``meta`` included), one per line, after a
 header line naming the numpy version and the BLAS it was built against.  The
@@ -96,6 +98,13 @@ def rank_list_spec(fmt, out):
         "kind": "synthetic", "format": fmt, "row_dims": [2, 3, 4],
         "col_dims": cols, "true_rank": true_rank, "num_samples": 128,
         "test_samples": 32, "seed": 11}
+
+
+def hidden_spec(fmt, out):
+    model, data = linear_spec(fmt, out)
+    model["layers"].insert(1, {"type": "plain_linear", "in_features": 6,
+                               "out_features": 6, "activation": "relu"})
+    return model, data
 
 
 def embedding_spec(fmt, out):
@@ -210,7 +219,8 @@ def main(argv):
             for pname in PRIORS]
     runs += [(fmt, "linear3", rank_list_spec, "lu", "ard") for fmt in RANK_LISTS]
     runs += [("ttm", "embed3", embedding3_spec, "lu", "ard"),
-             ("cp", "linear", linear_spec, "lu", "fixed_rank")]
+             ("cp", "linear", linear_spec, "lu", "fixed_rank"),
+             ("cp", "hidden", hidden_spec, "lu", "ard")]
     for fmt, net, make, pname, mode in runs:
         name = f"{fmt}-{net}-{pname}" + ("" if mode == "ard" else f"-{mode}")
         model, data = make(fmt, out)
