@@ -27,6 +27,7 @@ __all__ = [
     "optimal_rank_var_log_uniform",
     "optimal_rank_var_half_cauchy",
     "kl_gaussian",
+    "kl_gaussian_by_slot",
     "kl_gaussian_gradients",
     "gaussian_kl",
     "gaussian_kl_gradients",
@@ -134,6 +135,21 @@ def hyper_prior_from_config(cfg):
     raise ValueError(f"unknown hyper prior kind {kind!r}")
 
 
+def _check_std(std, message):
+    """Raise ValueError(message) if some entry of ``std`` is 0 or less.
+
+    One pass: fmin skips NaN, so a NaN entry passes and a nonpositive one
+    beside it still raises, as ``(std <= 0).any()`` would."""
+    if np.fmin.reduce(std, axis=None, initial=np.inf) <= 0:
+        raise ValueError(message)
+
+
+def _kl_terms(mean, std, half_log_var, two_var):
+    """The per-entry KL of :func:`kl_gaussian`, given ½·log(prior_var) and
+    2·prior_var."""
+    return half_log_var - np.log(std) + (mean * mean + std * std) / two_var - 0.5
+
+
 def kl_gaussian(mean, std, prior_var):
     """KL(N(mean, std^2) || N(0, prior_var)), elementwise.
 
@@ -143,16 +159,24 @@ def kl_gaussian(mean, std, prior_var):
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     prior_var = np.asarray(prior_var, dtype=np.float64)
-    if (std <= 0).any():
-        raise ValueError("std must be positive")
+    _check_std(std, "std must be positive")
     if (prior_var <= 0).any():
         raise ValueError("prior_var must be positive")
-    return (
-        0.5 * np.log(prior_var)
-        - np.log(std)
-        + (mean * mean + std * std) / (2.0 * prior_var)
-        - 0.5
-    )
+    return _kl_terms(mean, std, 0.5 * np.log(prior_var), 2.0 * prior_var)
+
+
+def kl_gaussian_by_slot(mean, std, slot_var, slot):
+    """:func:`kl_gaussian` of ``mean`` and ``std`` against ``slot_var[slot]``,
+    for flat arrays: entry i's prior variance is ``slot_var[slot[i]]``.
+
+    The log and the doubling run once per slot, not once per entry, and the
+    positivity check reads the slots; every slot must be one some entry uses,
+    so it raises exactly where a check of the gathered variances would.
+    """
+    _check_std(std, "std must be positive")
+    if (slot_var <= 0).any():
+        raise ValueError("prior_var must be positive")
+    return _kl_terms(mean, std, (0.5 * np.log(slot_var))[slot], (2.0 * slot_var)[slot])
 
 
 def gaussian_kl(gaussians, prior_variances) -> float:
@@ -173,8 +197,7 @@ def kl_gaussian_gradients(mean, std, prior_var):
     d/dmean = mean/prior_var and d/dstd = -1/std + std/prior_var.
     Deterministic: no sampling.
     """
-    if (std <= 0).any():
-        raise ValueError("std must be positive for KL gradients")
+    _check_std(std, "std must be positive for KL gradients")
     return mean / prior_var, -1.0 / std + std / prior_var
 
 
@@ -232,12 +255,27 @@ def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float,
 
     new = step * optimum + (1 - step) * current, then floored so the KL term
     stays finite before pruning.  ``squares`` is passed to
-    :func:`~tensorard.factorized.rank_moments`.
+    :func:`~tensorard.factorized.rank_moments`.  The optimum and the mix run
+    once over the layer's vectors end to end, and each entry gets the same
+    bits as in a pass per vector; a single vector is updated in place.
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError("step must lie in [0, 1]")
-    for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer, squares)):
-        optima = hyper_prior.optimal_rank_var(moments, count)
-        v *= 1.0 - step
-        v += step * optima
-        np.maximum(v, RANK_VAR_FLOOR, out=v)
+    moments, counts = zip(*rank_moments(layer, squares))
+    vectors, parts = layer.rank_variances, []
+    if len(vectors) == 1:
+        rank_var, optima = vectors[0], hyper_prior.optimal_rank_var(moments[0], counts[0])
+    else:
+        # parts: each vector's slice of the joined copy, written back below
+        rank_var, start = np.concatenate(vectors), 0
+        count = np.empty(rank_var.size)
+        for v, c in zip(vectors, counts):
+            parts.append(slice(start, start + v.size))
+            count[parts[-1]] = c
+            start += v.size
+        optima = hyper_prior.optimal_rank_var(np.concatenate(moments), count)
+    rank_var *= 1.0 - step
+    rank_var += step * optima
+    np.maximum(rank_var, RANK_VAR_FLOOR, out=rank_var)
+    for v, part in zip(vectors, parts):
+        v[...] = rank_var[part]

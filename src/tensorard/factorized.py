@@ -555,7 +555,9 @@ class _TT(_Format):
         # Each side is a TT closed by an identity core on the boundary bond,
         # so the TT sweep maps dL and dR onto the side's cores.
         eye = np.eye(left.shape[1])
-        rows = self.backprop([*cores[:n_row], eye[:, :, None]], x.T @ gr)[:-1]
+        # xᵀ(g·R) is taken as ((g·R)ᵀx)ᵀ, as network._dense_grads takes xᵀg;
+        # the sweep's first reshape copies it into C order.
+        rows = self.backprop([*cores[:n_row], eye[:, :, None]], (gr.T @ x).T)[:-1]
         cols = self.backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
         return rows + cols, gr @ left.T if need_input_grad else None
 
@@ -656,17 +658,21 @@ class _TTM(_TT):
         One stable sort groups repeated ids.  Each distinct id's row is one
         TT chain, batched over the distinct ids, of each core's slice at the
         id's row digit: the left partial (U, J_0..J_k, r_{k+1}) times the
-        next slice.  The memo is (order, starts, digits, slices, lefts): the
-        sort, the start of each id's group in it, the distinct ids' digits,
-        the slices and every left partial."""
+        next slice.  The memo is (firsts, repeats, groups, digits, slices,
+        lefts): the position in ``idx`` of each distinct id's first
+        occurrence, the positions of the later occurrences in sorted order
+        and each one's distinct id, the distinct ids' digits, the slices and
+        every left partial."""
         order = np.argsort(idx, kind="stable")
         ids = idx[order]
         first = np.empty(ids.size, dtype=bool)
         first[:1] = True
         np.not_equal(ids[1:], ids[:-1], out=first[1:])
         starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
         inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(first) - 1
+        inverse[order] = group
+        repeat = ~first
         u = starts.size
         digits = np.unravel_index(ids[starts], table.row_dims)
         slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(points, digits)]
@@ -676,20 +682,23 @@ class _TTM(_TT):
             p = lefts[-1].shape[1]
             lefts.append((lefts[-1] @ s.reshape(u, r0, n * r1)).reshape(u, p * n, r1))
         rows = lefts[-1].reshape(u, math.prod(table.col_dims))[inverse]
-        return rows, (order, starts, digits, slices, lefts)
+        return rows, (order[starts], order[repeat], group[repeat], digits, slices, lefts)
 
     def backprop_rows(self, table, points, memo, row_grads):
-        """Repeated ids' gradients are summed once, per sorted group; a
-        right-to-left sweep against the memo's left partials gives each
-        distinct id's slice gradients, two batched GEMMs per core; and a
-        one-hot (I_n x U) GEMM adds them into each core's I_n row slices, at
-        a cost of I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are
-        small."""
-        order, starts, digits, slices, lefts = memo
-        u = starts.size
+        """Repeated ids' gradients are summed once: each distinct id's first
+        row, then its repeats added in sorted order (``np.add.at``, the
+        sequential sum ``np.add.reduceat`` over the sorted groups would take,
+        without copying the many ids seen once); a right-to-left sweep
+        against the memo's left partials gives each distinct id's slice
+        gradients, two batched GEMMs per core; and a one-hot (I_n x U) GEMM
+        adds them into each core's I_n row slices, at a cost of
+        I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small."""
+        firsts, repeats, groups, digits, slices, lefts = memo
+        u = firsts.size
         # acc: the summed gradient contracted with slices k+1.., as
         # (U, J_0..J_k, r_{k+1}); the last core's r_d is 1.
-        acc = np.add.reduceat(row_grads[order], starts, axis=0)
+        acc = row_grads[firsts]
+        np.add.at(acc, groups, row_grads[repeats])
         per_id = [None] * len(slices)
         for k in range(len(slices) - 1, 0, -1):
             _, r0, n, r1 = slices[k].shape

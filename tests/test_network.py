@@ -559,6 +559,43 @@ class TestKlTotal:
 
         assert kl_gaussian(1.0, 1.0, 1.0) == 0.5
 
+    @pytest.mark.parametrize("poison", ["weak_zero", "rank_zero", "rank_negative",
+                                        "rank_nan", "std_nan_beside_negative"])
+    @pytest.mark.parametrize("layers", ["with_biases", "embedding_only"])
+    def test_raises_exactly_where_the_per_entry_check_raises(self, poison, layers):
+        """The positivity checks read the prior slots in use: the weak slot
+        counts only when some entry has the weak prior (none does in a CP
+        embedding without a head), and a NaN passes as it did per entry."""
+        from tensorard.bayes import HalfCauchy
+
+        if layers == "with_biases":
+            net = store_net("cp")
+        else:
+            net = build_network([{"type": "embedding", "format": "cp", "row_dims": [3, 2],
+                                  "col_dims": [3], "max_rank": 2}], 3,
+                                np.random.default_rng(41))
+        fl = net.layers[0].factorized
+        net.kl_total(HalfCauchy(0.3))  # the store is built, the poison lands in it
+        weak_std = 0.0 if poison == "weak_zero" else 1.3
+        if poison.startswith("rank_"):
+            fl.rank_variances[0][1] = {"rank_zero": 0.0, "rank_negative": -1.0,
+                                       "rank_nan": np.nan}[poison]
+        elif poison == "std_nan_beside_negative":
+            fl.factors[0].std[0, :2] = [np.nan, -1.0]
+
+        def outcome(kl):
+            try:
+                return kl(HalfCauchy(0.3), weak_std)
+            except ValueError as e:
+                return str(e)
+
+        with np.errstate(all="ignore"):
+            got = outcome(net.kl_total)
+            want = outcome(lambda prior, std: reference_kl_total(net, prior, std))
+        np.testing.assert_equal(got, want)
+        assert isinstance(got, str) == (poison not in ("rank_nan",) and not (
+            poison == "weak_zero" and layers == "embedding_only"))
+
     def test_gradients_match_finite_differences_of_total(self):
         _check_kl_gradients(tiny_net(kind="cp", ranks=3, seed=30))
 

@@ -15,7 +15,8 @@ bit for bit.  The CP and TT ``tensorized_linear`` first layers here (12 -> 6
 at rank 3) instead multiply through their factors, W = L·M·Rᵀ, which sums in
 another order; for those four cases the arrays must agree to 1e-12
 relative.  The nets of two ``tensorized_linear`` layers build W in both, so
-they are bitwise too.  The reference's TTM embedding branch calls the current
+they are bitwise too, as are the nets of the benchmark's shapes: one
+784 -> 10 layer of each format at max rank 10, at batches 128 and 256.  The reference's TTM embedding branch calls the current
 ``FORMATS["ttm"].lookup_rows`` and hands its memo to
 ``FORMATS["ttm"].backprop_rows``; their own references are in
 ``test_format_table.py`` and ``test_kernels.py``.
@@ -313,6 +314,24 @@ def _problem(kind, first):
     return net, x, rng.integers(0, 3, size=16)
 
 
+# Row and column dims of the benchmark's narrow 784 -> 10 layers (the
+# criterion-1 synthetic configs); the TTM layer's dims fold 112 x 70.
+BENCH_DIMS = {"cp": ([28, 28], [10]), "tucker": ([28, 28], [10]),
+              "tt": ([28, 28], [10]), "ttm": ([4, 7, 4], [7, 2, 5])}
+
+
+def _bench_problem(kind, batch):
+    """One 784 -> 10 ``tensorized_linear`` layer of format ``kind`` at max
+    rank 10, as the benchmark's narrow nets, with ``batch`` inputs and labels."""
+    rng = np.random.default_rng(1)
+    row_dims, col_dims = BENCH_DIMS[kind]
+    layer = {"type": "tensorized_linear", "format": kind, "row_dims": row_dims,
+             "col_dims": col_dims, "max_rank": 10, "activation": "identity",
+             "in_features": 784, "out_features": 10}
+    net = build_network([layer], 10, np.random.default_rng(2))
+    return net, rng.standard_normal((batch, 784)), rng.integers(0, 10, size=batch)
+
+
 def _arrays(net):
     out = []
     for layer in net.layers:
@@ -330,16 +349,32 @@ def _arrays(net):
 )
 def test_steps_match_the_per_type_step_bitwise(kind, first, prior):
     ref, x, y = _problem(kind, first)
-    cur = copy.deepcopy(ref)
     head = TensorizedLinear if first == "two_tensorized_linear" else PlainLinear
-    assert isinstance(cur.layers[-1], head)
+    assert isinstance(ref.layers[-1], head)
+    _assert_steps_match(ref, x, y, prior, 0.05,
+                        split=first == "tensorized_linear" and kind in ("cp", "tt"))
+
+
+@pytest.mark.parametrize("batch", [128, 256])
+@pytest.mark.parametrize("kind", ["cp", "tucker", "tt", "ttm"])
+@pytest.mark.parametrize(
+    "prior", [bayes.LogUniform(), bayes.HalfCauchy(0.3)], ids=["log_uniform", "half_cauchy"]
+)
+def test_steps_at_the_benchmark_shapes_match_bitwise(kind, batch, prior):
+    ref, x, y = _bench_problem(kind, batch)
+    _assert_steps_match(ref, x, y, prior, 0.5 / batch, split=False)
+
+
+def _assert_steps_match(ref, x, y, prior, lr, split):
+    """Six steps of the reference and of the library from one net; the
+    arrays agree bit for bit, or to ``SPLIT_REL_TOL`` where ``split``."""
+    cur = copy.deepcopy(ref)
     rng_ref, rng_cur = np.random.default_rng(4), np.random.default_rng(4)
     for step in range(6):
         beta = min(1.0, step / 3)  # the first step runs with the KL switched off
-        hyper = (0.05, 16, beta, 0.8, prior, 0.2)
+        hyper = (lr, len(y), beta, 0.8, prior, 0.2)
         reference_step(ref, x, y, rng_ref, *hyper)
         current_step(cur, x, y, rng_cur, *hyper)
-    split = first == "tensorized_linear" and kind in ("cp", "tt")
     assert split == any(layer.takes_split(layer.weight.point_means())
                         for layer in cur.layers if isinstance(layer, TensorizedLinear))
     got, want = _arrays(cur), _arrays(ref)
