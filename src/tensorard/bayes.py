@@ -73,13 +73,26 @@ def optimal_rank_var_half_cauchy(moment_sum, count, scale: float):
     Shrinks harder as ``scale`` decreases and approaches the log-uniform
     update M/(D+1) as ``scale`` tends to zero.  Elementwise over arrays, as
     :func:`optimal_rank_var_log_uniform`.
+
+    The published form is (M - s²D + sqrt(disc)) / (2D + 2).  Where s²D > M
+    its numerator cancels, to 0 once s²D dwarfs M, and s⁴D² in ``disc``
+    overflows for a large scale; there the same value is taken with the
+    numerator rationalized, M(4D + 8) / ((2D + 2)(sqrt(t² + (2D + 8)t + D²)
+    + D - t)) with t = M/s², which neither cancels nor overflows.
     """
     m, d = _check_rank_var_inputs(moment_sum, count)
     if scale <= 0:
         raise ValueError("scale must be positive")
     s2 = scale * scale
-    disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
-    return (m - s2 * d + np.sqrt(disc)) / (2 * d + 2)
+    # Both forms run on every entry, and each is finite where it is taken;
+    # the other may overflow or divide by 0 there, silently.
+    with np.errstate(all="ignore"):
+        disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
+        published = (m - s2 * d + np.sqrt(disc)) / (2 * d + 2)
+        t = m / s2
+        root = np.sqrt(t * t + (2 * d + 8) * t + d * d)
+        rationalized = m * (4 * d + 8) / ((2 * d + 2) * (root + d - t))
+        return np.where(s2 * d > m, rationalized, published)[()]
 
 
 def check_prior_std(name, std):

@@ -161,6 +161,27 @@ class TestHalfCauchyUpdate:
         small = optimal_rank_var_half_cauchy(m, d, 0.01)
         assert small < big
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 0.01, 0.3, 1.0, 10.0, 1e3, 1e6, 1e8,
+                                       1e20, 1e50, 1e100, 1e150])
+    def test_matches_the_published_form_in_decimal(self, scale):
+        """The published form, evaluated in decimal with enough digits that
+        its cancellation at scale 1e150 still leaves over 60, against the float
+        update over moments down to 1e-12 and counts up to 1000."""
+        import decimal
+
+        moments = np.array([0.0, 1e-12, 1e-3, 0.5, 3.0, 1e3])
+        for count in (1, 7, 280, 1000):
+            got = optimal_rank_var_half_cauchy(moments, count, scale)
+            assert got.shape == moments.shape and np.isfinite(got).all()
+            with decimal.localcontext() as ctx:
+                ctx.prec = 1000
+                s2, d = decimal.Decimal(scale) ** 2, decimal.Decimal(count)
+                for g, m in zip(got, moments.tolist()):
+                    m = decimal.Decimal(m)
+                    disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
+                    want = float((m - s2 * d + disc.sqrt()) / (2 * d + 2))
+                    assert abs(g - want) <= 1e-13 * want, (m, count, g, want)
+
     @pytest.mark.xfail(
         strict=True,
         reason=(
@@ -419,6 +440,10 @@ class TestRankVarianceUpdate:
     @staticmethod
     def _scalar_half_cauchy(moment_sum, count, scale):
         m, d, s2 = float(moment_sum), float(count), scale * scale
+        if s2 * d > m:  # the published numerator, rationalized
+            t = m / s2
+            return m * (4 * d + 8) / ((2 * d + 2) * (math.sqrt(t * t + (2 * d + 8) * t + d * d)
+                                                     + d - t))
         disc = m * m + (2 * d + 8) * s2 * m + s2 * s2 * d * d
         return (m - s2 * d + math.sqrt(disc)) / (2 * d + 2)
 

@@ -142,6 +142,20 @@ class TestTrainCommand:
         rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e8, 1e100])
+    def test_half_cauchy_at_a_large_scale_trains(self, tmp_path, capsys, scale):
+        # The published update's numerator cancels once s²D dwarfs M and its
+        # discriminant overflows past scale ~1e150/D: at 1e8 two rank
+        # variances came out equal and at 1e100 training exited 3.
+        spec = synthetic_runspec(tmp_path / "run",
+                                 prior={"kind": "half_cauchy", "scale": scale})
+        spec["train"]["prune_threshold"] = 1e-2
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        assert rc == 0, capsys.readouterr().err
+        with np.load(tmp_path / "run" / "checkpoint_final.npz") as ck:
+            rank_var = ck["layer0_rank_var0"]
+        assert rank_var.size == 3 and np.unique(rank_var).size == 3
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_three(self, tmp_path, capsys):
         spec = synthetic_runspec(tmp_path / "d")
