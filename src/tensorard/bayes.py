@@ -27,7 +27,6 @@ __all__ = [
     "optimal_rank_var_log_uniform",
     "optimal_rank_var_half_cauchy",
     "kl_gaussian",
-    "kl_gaussian_by_slot",
     "kl_gaussian_gradients",
     "gaussian_kl",
     "gaussian_kl_gradients",
@@ -178,13 +177,15 @@ def kl_gaussian(mean, std, prior_var):
     return _kl_terms(mean, std, 0.5 * np.log(prior_var), 2.0 * prior_var)
 
 
-def kl_gaussian_by_slot(mean, std, slot_var, slot):
+def _kl_gaussian_by_slot(mean, std, slot_var, slot):
     """:func:`kl_gaussian` of ``mean`` and ``std`` against ``slot_var[slot]``,
     for flat arrays: entry i's prior variance is ``slot_var[slot[i]]``.
 
     The log and the doubling run once per slot, not once per entry, and the
-    positivity check reads the slots; every slot must be one some entry uses,
-    so it raises exactly where a check of the gathered variances would.
+    positivity check reads the slots.  It raises exactly where a check of the
+    gathered variances would only if every slot is one some entry uses; the
+    caller (``Network.kl_total``, which passes the store's slots in use)
+    keeps that precondition.
     """
     _check_std(std, "std must be positive")
     if (slot_var <= 0).any():
@@ -268,27 +269,12 @@ def update_rank_variances(layer: FactorizedLayer, hyper_prior, step: float,
 
     new = step * optimum + (1 - step) * current, then floored so the KL term
     stays finite before pruning.  ``squares`` is passed to
-    :func:`~tensorard.factorized.rank_moments`.  The optimum and the mix run
-    once over the layer's vectors end to end, and each entry gets the same
-    bits as in a pass per vector; a single vector is updated in place.
+    :func:`~tensorard.factorized.rank_moments`.
     """
     if not 0.0 <= step <= 1.0:
         raise ValueError("step must lie in [0, 1]")
-    moments, counts = zip(*rank_moments(layer, squares))
-    vectors, parts = layer.rank_variances, []
-    if len(vectors) == 1:
-        rank_var, optima = vectors[0], hyper_prior.optimal_rank_var(moments[0], counts[0])
-    else:
-        # parts: each vector's slice of the joined copy, written back below
-        rank_var, start = np.concatenate(vectors), 0
-        count = np.empty(rank_var.size)
-        for v, c in zip(vectors, counts):
-            parts.append(slice(start, start + v.size))
-            count[parts[-1]] = c
-            start += v.size
-        optima = hyper_prior.optimal_rank_var(np.concatenate(moments), count)
-    rank_var *= 1.0 - step
-    rank_var += step * optima
-    np.maximum(rank_var, RANK_VAR_FLOOR, out=rank_var)
-    for v, part in zip(vectors, parts):
-        v[...] = rank_var[part]
+    for v, (moments, count) in zip(layer.rank_variances, rank_moments(layer, squares)):
+        optima = hyper_prior.optimal_rank_var(moments, count)
+        v *= 1.0 - step
+        v += step * optima
+        np.maximum(v, RANK_VAR_FLOOR, out=v)

@@ -546,7 +546,7 @@ class Network:
         """
         store = self._gaussian_store()
         slot_var, slot = store.slot_variances(weak_prior_std * weak_prior_std)
-        kl = bayes.kl_gaussian_by_slot(store.mean, store.std, slot_var, slot)
+        kl = bayes._kl_gaussian_by_slot(store.mean, store.std, slot_var, slot)
         total = 0.0
         for layer in store.layout:
             layer_total = 0.0
@@ -600,17 +600,9 @@ class Network:
 # skips their Python wrappers; the bits are the same.
 
 
-def _last_axis_max(a):
-    """``a.max(axis=-1, keepdims=True)``, reduced over a copy whose last axis
-    leads: numpy takes one inner-loop call per row of a short last axis
-    (256x10: 14 against 5 µs with the copy).  A max rounds nothing, so the
-    values are the same."""
-    return np.maximum.reduce(a.swapaxes(0, -1).copy(), axis=0, keepdims=True).swapaxes(0, -1)
-
-
 def softmax(logits):
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - _last_axis_max(logits)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -625,7 +617,7 @@ def nll_multinomial(logits, labels) -> float:
         raise ValueError("logits must be a [batch, classes] matrix")
     batch = logits.shape[0]
     labels = _check_labels(labels, logits.shape[1], batch)
-    shifted = logits - _last_axis_max(logits)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1))
     picked = shifted[np.arange(batch), labels]
     return float(np.add.reduce(lse - picked) / batch)

@@ -93,17 +93,17 @@ class TestKlGaussian:
             with pytest.raises(ValueError, match="std must be positive"):
                 bayes.kl_gaussian_gradients(np.zeros(2), np.array(bad), 1.0)
             with pytest.raises(ValueError, match="std must be positive"):
-                bayes.kl_gaussian_by_slot(np.zeros(2), np.array(bad), np.ones(1), [0, 0])
+                bayes._kl_gaussian_by_slot(np.zeros(2), np.array(bad), np.ones(1), [0, 0])
         assert np.isnan(kl_gaussian(0.0, np.array([np.nan, 1.0]), 1.0)[0])
 
     def test_by_slot_equals_the_gathered_kl_bitwise(self):
         rng = np.random.default_rng(8)
         mean, std = rng.standard_normal(50), rng.uniform(0.1, 2.0, 50)
         slot_var, slot = rng.uniform(0.01, 3.0, 7), rng.integers(0, 7, 50)
-        got = bayes.kl_gaussian_by_slot(mean, std, slot_var, slot)
+        got = bayes._kl_gaussian_by_slot(mean, std, slot_var, slot)
         assert got.tobytes() == kl_gaussian(mean, std, slot_var[slot]).tobytes()
         with pytest.raises(ValueError, match="prior_var must be positive"):
-            bayes.kl_gaussian_by_slot(mean, std, np.array([1.0, 0.0]), slot % 2)
+            bayes._kl_gaussian_by_slot(mean, std, np.array([1.0, 0.0]), slot % 2)
 
 
 class TestLogUniformUpdate:
