@@ -392,7 +392,10 @@ class _GaussianStore:
                 (slice(seg.start - start, seg.stop - start), shape) if n in prior else None
                 for n, (seg, shape) in enumerate(factor_segments)
             ], vector_slices))
-        self.used, self.slot = np.unique(self.prior_index, return_inverse=True)
+        # a count, not np.unique: its sort of every entry cost more than the
+        # rest of the build (0.6 ms on the wide TTM net)
+        in_use = np.bincount(self.prior_index, minlength=self.rank_var.size) > 0
+        self.used, self.slot = np.flatnonzero(in_use), (np.cumsum(in_use) - 1)[self.prior_index]
         self.counts = (len(flat), len(vectors))
 
     def holds(self, layers) -> bool:
