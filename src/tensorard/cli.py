@@ -23,7 +23,8 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _STRING = {"type": "string"}
 _SEED = {"type": "integer", "minimum": 0}
 # An int, or one entry per rank-variance vector of the format.
-_RANKS = {"oneOf": [_COUNT, _DIMS]}
+_RANKS = {"type": ["integer", "array"], "if": {"type": "integer"}, "then": {"minimum": 1},
+          "else": {"items": _COUNT}}
 # The keys that tensorized_linear and embedding layers share, all required.
 _TENSORIZED = {"format": _FORMAT, "row_dims": _DIMS, "col_dims": _DIMS,
                "max_rank": _RANKS}
@@ -35,43 +36,48 @@ def _object(required, **properties):
             "required": list(required), "properties": properties}
 
 
+def _tagged(tag, **branches):
+    """An object whose ``tag`` names one of ``branches``, _object schemas
+    without the tag. Only the named branch applies, so an error names a field
+    of the branch the spec asked for, or the tag itself."""
+    return {"type": "object", "required": [tag], "properties": {tag: {"enum": list(branches)}},
+            "allOf": [{"if": {"required": [tag], "properties": {tag: {"const": name}}},
+                       "then": {**branch, "properties": {tag: True, **branch["properties"]}}}
+                      for name, branch in branches.items()]}
+
+
 RUNSPEC_SCHEMA = _object(
     ["model", "data", "train"],
     output_dir=_STRING,
     model=_object(
         ["layers", "classes"],
         classes={"type": "integer", "minimum": 2},
-        layers={"type": "array", "minItems": 1, "items": {"oneOf": [
-            _object(["type", *_TENSORIZED],
-                    type={"const": "tensorized_linear"}, **_TENSORIZED,
-                    activation=_ACTIVATION, in_features=_COUNT, out_features=_COUNT),
-            _object(["type", *_TENSORIZED],
-                    type={"const": "embedding"}, **_TENSORIZED),
-            _object(["type", "in_features", "out_features"],
-                    type={"const": "plain_linear"}, in_features=_COUNT,
-                    out_features=_COUNT, activation=_ACTIVATION),
-        ]}},
+        layers={"type": "array", "minItems": 1, "items": _tagged(
+            "type",
+            tensorized_linear=_object(_TENSORIZED, **_TENSORIZED, activation=_ACTIVATION,
+                                      in_features=_COUNT, out_features=_COUNT),
+            embedding=_object(_TENSORIZED, **_TENSORIZED),
+            plain_linear=_object(["in_features", "out_features"], in_features=_COUNT,
+                                 out_features=_COUNT, activation=_ACTIVATION),
+        )},
     ),
-    data={"oneOf": [
-        _object(["kind", "train_images", "train_labels"],
-                kind={"const": "mnist"}, train_images=_STRING, train_labels=_STRING,
-                test_images=_STRING, test_labels=_STRING),
-        _object(["kind", "format", "row_dims", "col_dims", "true_rank", "num_samples"],
-                kind={"const": "synthetic"}, format=_FORMAT, row_dims=_DIMS,
-                col_dims=_DIMS, true_rank=_RANKS,
-                num_samples=_COUNT, test_samples={"type": "integer", "minimum": 0},
-                seed=_SEED, label_sampling={"enum": ["argmax", "multinomial"]},
-                in_features=_COUNT, out_features=_COUNT),
-        _object(["kind", "train_prefix"],
-                kind={"const": "blob"}, train_prefix=_STRING, test_prefix=_STRING),
-    ]},
+    data=_tagged(
+        "kind",
+        mnist={**_object(["train_images", "train_labels"], train_images=_STRING,
+                         train_labels=_STRING, test_images=_STRING, test_labels=_STRING),
+               "dependentRequired": {"test_images": ["test_labels"]}},
+        synthetic=_object(["format", "row_dims", "col_dims", "true_rank", "num_samples"],
+                          format=_FORMAT, row_dims=_DIMS, col_dims=_DIMS, true_rank=_RANKS,
+                          num_samples=_COUNT, test_samples={"type": "integer", "minimum": 0},
+                          seed=_SEED, label_sampling={"enum": ["argmax", "multinomial"]},
+                          in_features=_COUNT, out_features=_COUNT),
+        blob=_object(["train_prefix"], train_prefix=_STRING, test_prefix=_STRING),
+    ),
     train=_object(
         ["epochs", "batch_size"],
         mode={"enum": ["ard", "fixed_rank"]},
-        hyper_prior={"oneOf": [
-            _object(["kind"], kind={"const": "log_uniform"}),
-            _object(["kind", "scale"], kind={"const": "half_cauchy"}, scale=_POSITIVE),
-        ]},
+        hyper_prior=_tagged("kind", log_uniform=_object([]),
+                            half_cauchy=_object(["scale"], scale=_POSITIVE)),
         learning_rate=_POSITIVE,
         rank_step={"type": "number", "minimum": 0, "maximum": 1},
         prune_threshold=_POSITIVE,
@@ -129,31 +135,10 @@ def validate_runspec(doc, key=None):
     from jsonschema.exceptions import relevance
 
     schema = RUNSPEC_SCHEMA if key is None else RUNSPEC_SCHEMA["properties"][key]
-    errors = list(jsonschema.Draft202012Validator(schema).iter_errors(doc))
-    if not errors:
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(doc)
+    err = max(errors, key=relevance, default=None)
+    if err is None:
         return
-    err = max(errors, key=relevance)
-    # Descend through oneOf wrappers into the branch whose discriminator
-    # ("kind"/"type" const) matches, so messages name the offending field.
-    # Among those, a branch whose type the value has beats one it does not:
-    # a rank list [0] names its entry, not "is not of type 'integer'".
-    while err.context:
-        by_branch = {}
-        for sub in err.context:
-            idx = next(iter(sub.schema_path), 0)
-            by_branch.setdefault(idx, []).append(sub)
-        matching = [
-            subs
-            for subs in by_branch.values()
-            if not any(s.validator == "const" for s in subs)
-        ]
-        typed = [
-            subs
-            for subs in matching
-            if not any(s.validator == "type" and not s.relative_path for s in subs)
-        ]
-        pool = (typed or matching or [list(err.context)])[0]
-        err = max(pool, key=relevance)
     path = ([key] if key else []) + list(err.absolute_path)
     where = "/".join(str(p) for p in path) or "<root>"
     raise SpecError(f"invalid spec at {where}: {err.message}")
@@ -165,11 +150,11 @@ def _load_data(data_cfg):
     kind = data_cfg["kind"]
     if kind == "mnist":
         train = datasets.load_mnist_idx(data_cfg["train_images"], data_cfg["train_labels"])
-        test = None
-        if "test_images" in data_cfg:
-            if "test_labels" not in data_cfg:
-                raise SpecError("invalid spec at data/test_labels: required with test_images")
-            test = datasets.load_mnist_idx(data_cfg["test_images"], data_cfg["test_labels"])
+        test = (
+            datasets.load_mnist_idx(data_cfg["test_images"], data_cfg["test_labels"])
+            if "test_images" in data_cfg
+            else None
+        )
         return train, test, None
     if kind == "synthetic":
         n_train = data_cfg["num_samples"]
@@ -188,15 +173,10 @@ def _load_data(data_cfg):
         train = data.subset(slice(0, n_train))
         test = data.subset(slice(n_train, None)) if n_test else None
         return train, test, teacher
-    if kind == "blob":
-        train = datasets.load_dataset(data_cfg["train_prefix"])
-        test = (
-            datasets.load_dataset(data_cfg["test_prefix"])
-            if "test_prefix" in data_cfg
-            else None
-        )
-        return train, test, None
-    raise SpecError(f"invalid spec at data/kind: unknown kind {kind!r}")
+    # The schema admits no other kind than blob.
+    train = datasets.load_dataset(data_cfg["train_prefix"])
+    test = datasets.load_dataset(data_cfg["test_prefix"]) if "test_prefix" in data_cfg else None
+    return train, test, None
 
 
 def _train_config(train_cfg, seed_override=None):

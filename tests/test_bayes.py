@@ -17,7 +17,7 @@ from tensorard.bayes import (
     sample_factors,
     update_rank_variances,
 )
-from tensorard.factorized import init_layer, rank_moments
+from tensorard.factorized import RANK_VAR_FLOOR, init_layer, rank_moments
 
 
 def lu_objective(lam, moment_sum, count):
@@ -429,6 +429,20 @@ class TestRankVarianceUpdate:
                 for m in moments
             ]
             np.testing.assert_allclose(v, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("prior", [LogUniform(), HalfCauchy(0.3)],
+                             ids=["log_uniform", "half_cauchy_0.3"])
+    @pytest.mark.parametrize("kind,ranks", [("cp", 3), ("tucker", [2, 2, 2]), ("tt", [2, 3])])
+    def test_zero_moments_at_full_step_land_on_the_floor(self, kind, ranks, prior):
+        # Every optimum is 0 here, so only the floor keeps the variances
+        # positive; in training SIGMA_FLOOR keeps the moments off zero.
+        layer = init_layer(kind, [3, 4], [5], ranks, np.random.default_rng(19))
+        for f in layer.factors:
+            f.mean[...] = 0.0
+            f.std[...] = 0.0
+        update_rank_variances(layer, prior, 1.0)
+        for v in layer.rank_variances:
+            np.testing.assert_array_equal(v, RANK_VAR_FLOOR)
 
     # The scalar closed forms as they were before they took arrays, applied
     # one rank entry at a time: the reference the vectorised update must

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -82,6 +85,17 @@ class TestValidation:
         rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
         assert rc == 2
         assert "train/init_std_ratio" in capsys.readouterr().err
+
+    def test_test_images_without_test_labels_names_the_field(self, tmp_path, capsys):
+        # The schema rejects it before any IDX file is read: none exists.
+        spec = synthetic_runspec(tmp_path / "out")
+        spec["data"] = {"kind": "mnist", "train_images": str(tmp_path / "ti"),
+                        "train_labels": str(tmp_path / "tl"), "test_images": str(tmp_path / "si")}
+        rc = cli.main(["train", "--spec", str(write_spec(tmp_path, spec))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: invalid spec at data:") and "'test_labels'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_spec_file(self, tmp_path, capsys):
         rc = cli.main(["train", "--spec", str(tmp_path / "nope.json")])
@@ -737,6 +751,15 @@ class TestLayersWithoutModes:
         assert f"{kind} needs at least one mode" in err and "Traceback" not in err
 
 
+def _branches(tagged, tag):
+    """The {name: schema} branches of a tagged union, in the order of its
+    tag's enum, which must name them all."""
+    branches = {rule["if"]["properties"][tag]["const"]: rule["then"]
+                for rule in tagged["allOf"]}
+    assert list(branches) == tagged["properties"][tag]["enum"]
+    return branches
+
+
 class TestSchemaPinned:
     """The run-spec schema stays in cli.py, which must not import numpy before
     --threads pins BLAS; this keeps its enums equal to the library's tables."""
@@ -745,9 +768,9 @@ class TestSchemaPinned:
         from tensorard import factorized, network
 
         layers = cli.RUNSPEC_SCHEMA["properties"]["model"]["properties"]["layers"]
-        consts = [b["properties"]["type"]["const"] for b in layers["items"]["oneOf"]]
-        assert sorted(consts) == sorted(network.LAYER_TYPES)
-        assert len(consts) == len(network.LAYER_TYPES)
+        types = list(_branches(layers["items"], "type"))
+        assert sorted(types) == sorted(network.LAYER_TYPES)
+        assert len(types) == len(network.LAYER_TYPES)
 
         def format_enums(node):
             if isinstance(node, dict):
@@ -769,19 +792,42 @@ class TestSchemaPinned:
 
         layers = cli.RUNSPEC_SCHEMA["properties"]["model"]["properties"]["layers"]
         activations = [b["properties"]["activation"]["enum"]
-                       for b in layers["items"]["oneOf"] if "activation" in b["properties"]]
+                       for b in _branches(layers["items"], "type").values()
+                       if "activation" in b["properties"]]
         assert len(activations) == 2
         for enum in activations:
             assert tuple(enum) == network.ACTIVATIONS
         train = cli.RUNSPEC_SCHEMA["properties"]["train"]["properties"]
         assert tuple(train["mode"]["enum"]) == training.MODES
-        kinds = [b["properties"]["kind"]["const"] for b in train["hyper_prior"]["oneOf"]]
+        kinds = list(_branches(train["hyper_prior"], "kind"))
         assert kinds == [bayes.LogUniform.name, bayes.HalfCauchy.name]
 
-    def test_schema_equals_the_reference_literal(self):
-        # Key order counts: the schema built from shared pieces must dump to
-        # the same text as the literal it replaced.
-        assert json.dumps(cli.RUNSPEC_SCHEMA) == json.dumps(REFERENCE_SCHEMA)
+    def test_schema_accepts_what_the_reference_accepts(self):
+        import jsonschema
+
+        tagged = jsonschema.Draft202012Validator(cli.RUNSPEC_SCHEMA)
+        reference = jsonschema.Draft202012Validator(REFERENCE_SCHEMA)
+        # A spec the corpus repeats is checked once.
+        corpus = {json.dumps(doc, sort_keys=True): doc
+                  for doc in seeded_spec_corpus(20_000, seed=0)}
+        verdicts = {text: (tagged.is_valid(doc), reference.is_valid(doc))
+                    for text, doc in corpus.items()}
+        assert [text for text, (a, b) in verdicts.items() if a != b] == []
+        # Both verdicts are common, so the corpus can tell the schemas apart.
+        valid = sum(a for a, _ in verdicts.values())
+        assert 500 <= valid <= len(verdicts) - 500
+
+    def test_every_one_edit_error_names_the_field(self):
+        misses, invalid = [], 0
+        for path, doc in one_edit_mutations():
+            try:
+                cli.validate_runspec(doc)
+            except cli.SpecError as e:
+                invalid += 1
+                if not names_the_field(str(e), path):
+                    misses.append((path, str(e)))
+        assert invalid >= 4000
+        assert misses == []
 
     def test_train_keys_are_the_train_config_fields(self):
         # _train_config passes the mapping straight to TrainConfig, so every
@@ -799,8 +845,126 @@ class TestSchemaPinned:
         assert cfg.seed == 9 and cfg.hyper_prior == bayes.HalfCauchy(0.2)
 
 
-# The run-spec schema as a hand-written literal; cli.RUNSPEC_SCHEMA, built
-# from shared pieces, must dump to the same JSON.
+def valid_spec_grid():
+    """Small valid run specs: each data kind under each hyper-prior, with
+    ranks as an int and as a list. Every layer type is used, and every
+    optional key of the model and the data is set."""
+    priors = ({"kind": "log_uniform"}, {"kind": "half_cauchy", "scale": 0.5})
+    for rank, prior, kind in itertools.product((2, [2]), priors, ("mnist", "synthetic", "blob")):
+        data = {
+            "mnist": {"train_images": "a", "train_labels": "b", "test_images": "c",
+                      "test_labels": "d"},
+            "synthetic": {"format": "cp", "row_dims": [4], "col_dims": [3], "true_rank": rank,
+                          "num_samples": 8, "test_samples": 0, "seed": 0,
+                          "label_sampling": "argmax", "in_features": 4, "out_features": 3},
+            "blob": {"train_prefix": "p", "test_prefix": "q"},
+        }[kind]
+        yield {
+            "model": {"classes": 3, "layers": [
+                {"type": "tensorized_linear", "format": "cp", "row_dims": [4], "col_dims": [3],
+                 "max_rank": rank, "activation": "relu", "in_features": 4, "out_features": 3},
+                {"type": "embedding", "format": "tt", "row_dims": [4], "col_dims": [3],
+                 "max_rank": rank},
+                {"type": "plain_linear", "in_features": 3, "out_features": 3,
+                 "activation": "identity"},
+            ]},
+            "data": {"kind": kind, **data},
+            "train": {"epochs": 1, "batch_size": 2, "mode": "ard", "hyper_prior": prior,
+                      "rank_step": 0.5, "seed": 0},
+            "output_dir": "out",
+        }
+
+
+# The values a one-edit mutation sets a key or a list entry to.
+EDIT_VALUES = (0, -1, 2.5, "x", None, [], [0], {}, "bogus", True)
+_DELETE = object()
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list entry under ``node``, parents first."""
+    for key in (node if isinstance(node, dict) else range(len(node))):
+        yield prefix + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _paths(node[key], prefix + (key,))
+
+
+def _copy(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _edit(doc, path, value):
+    """Set ``path`` in ``doc`` to a copy of ``value``, or delete its key."""
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is _DELETE:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = _copy(value)
+
+
+def one_edit_mutations():
+    """(path, spec) for every one-edit mutation of the valid grid's specs: a
+    key deleted, or a key or list entry set to one of EDIT_VALUES. Some of
+    the results are valid."""
+    for spec in valid_spec_grid():
+        for path in _paths(spec):
+            deletes = (_DELETE,) if isinstance(path[-1], str) else ()
+            for value in (*deletes, *EDIT_VALUES):
+                doc = _copy(spec)
+                _edit(doc, path, value)
+                yield path, doc
+
+
+def names_the_field(message, path):
+    """Whether a SpecError message names the edited ``path``: it is at that
+    path or under it, or at an ancestor and quotes the edited key."""
+    where = message.removeprefix("invalid spec at ").split(": ", 1)[0]
+    at = [] if where == "<root>" else where.split("/")
+    edited = [str(p) for p in path]
+    return (at[:len(edited)] == edited
+            or (edited[:len(at)] == at and f"'{path[-1]}'" in message))
+
+
+def _grid_values():
+    """Each key's and list index's distinct values across the valid grid."""
+    seen = {}
+    for spec in valid_spec_grid():
+        for path in _paths(spec):
+            value = functools.reduce(operator.getitem, path, spec)
+            seen.setdefault(path[-1], {})[json.dumps(value, sort_keys=True)] = value
+    return {key: [texts[t] for t in sorted(texts)] for key, texts in seen.items()}
+
+
+def seeded_spec_corpus(count, seed):
+    """``count`` specs, each a spec of the valid grid after one to three
+    seeded edits. An edit picks a key or list entry, or a key the grid uses
+    that may be new where it lands, and deletes the key or sets it to one of
+    EDIT_VALUES or to a value the grid gives that key anywhere: another
+    branch's tag, a whole data or layer mapping, or a rank list."""
+    rng = np.random.default_rng(seed)
+    grid = list(valid_spec_grid())
+    values = _grid_values()
+    keys = sorted(k for k in values if isinstance(k, str))
+    for _ in range(count):
+        doc = _copy(grid[rng.integers(len(grid))])
+        for _ in range(rng.integers(1, 4)):
+            paths = list(_paths(doc))
+            path = paths[rng.integers(len(paths))]
+            if isinstance(path[-1], str) and rng.random() < 0.3:
+                path = path[:-1] + (keys[rng.integers(len(keys))],)
+            pick = rng.random()
+            if pick < 0.2:
+                if isinstance(path[-1], str):
+                    _edit(doc, path, _DELETE)
+            elif pick < 0.35:
+                _edit(doc, path, EDIT_VALUES[rng.integers(len(EDIT_VALUES))])
+            else:
+                choices = values[path[-1]]
+                _edit(doc, path, choices[rng.integers(len(choices))])
+        yield doc
+
+
+# The run-spec schema as a hand-written literal whose unions are oneOf, not
+# tagged; cli.RUNSPEC_SCHEMA must accept and reject the same specs.
 REFERENCE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -884,6 +1048,7 @@ REFERENCE_SCHEMA = {
                         "test_images": {"type": "string"},
                         "test_labels": {"type": "string"},
                     },
+                    "dependentRequired": {"test_images": ["test_labels"]},
                 },
                 {
                     "type": "object",

@@ -269,6 +269,21 @@ class TestPrune:
         pruned = prune(layer, 1e-4)
         np.testing.assert_array_equal(pruned.factors[0].std, layer.factors[0].std[:, [0, 2]])
 
+    @pytest.mark.parametrize("kind,row,col,ranks", FORMAT_CASES)
+    def test_a_rank_variance_at_the_threshold_is_kept(self, kind, row, col, ranks):
+        # One entry per vector sits exactly at the threshold, one above it;
+        # prune keeps both, and the counts count both.
+        threshold = 1e-4
+        layer = random_layer(kind, row, col, ranks, seed=6)
+        for v in layer.rank_variances:
+            v[:] = 1e-9
+            v[:2] = [threshold, 1.0]
+        kept = [2] * len(layer.rank_variances)
+        pruned = prune(layer, threshold)
+        assert [v.tolist() for v in pruned.rank_variances] == [[threshold, 1.0] for _ in kept]
+        assert factorized.surviving_counts(layer, threshold) == kept
+        assert inferred_ranks(layer, threshold) == layer.format.report(kept)
+
 
 class TestInferredRanks:
     def test_cp_threshold_count(self):

@@ -395,6 +395,18 @@ class TestPredictUncertainty:
         with pytest.raises(ValueError):
             predict_uncertainty(net, np.zeros(3), num_samples=1)
 
+    def test_std_is_the_sample_std_of_the_same_draws(self):
+        # The draws predict_uncertainty takes, replayed from its seed: its
+        # std divides by n - 1, which at 8 draws is 7% above dividing by n.
+        net = self.make_net(std=0.3)
+        x = np.random.default_rng(14).standard_normal((2, 3))
+        mean, std = predict_uncertainty(net, x, num_samples=8, seed=3)
+        rng = np.random.default_rng(3)
+        probs = np.stack([network.softmax(net.forward(x, sample=net.sample(rng)))
+                          for _ in range(8)])
+        np.testing.assert_allclose(mean, probs.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(std, np.std(probs, axis=0, ddof=1), rtol=1e-10)
+
     def test_monte_carlo_matches_delta_method(self):
         # single stochastic weight, two classes: logits = (w*x, 0)
         rng = np.random.default_rng(13)
