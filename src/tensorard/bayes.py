@@ -15,7 +15,7 @@ import numpy as np
 from .factorized import (
     RANK_VAR_FLOOR,
     FactorizedLayer,
-    prior_variance_arrays,
+    prior_slots,
     rank_moments,
 )
 
@@ -240,13 +240,21 @@ def sample_factors(layer: FactorizedLayer, rng: np.random.Generator):
     return sample_gaussians(layer.factors, rng)
 
 
+def _prior_variances(layer: FactorizedLayer, weak_prior_var: float) -> list:
+    """Each factor's prior variances, one per entry, gathered through
+    :func:`~tensorard.factorized.prior_slots`: an entry's rank variance, or
+    the weak prior variance for an entry with no rank prior."""
+    table = np.append(np.concatenate(layer.rank_variances), float(weak_prior_var))
+    return [table[s] for s in prior_slots(layer, 0, table.size - 1)]
+
+
 def kl_gradients(layer: FactorizedLayer, weak_prior_var: float = 1.0):
     """:func:`gaussian_kl_gradients` over a layer's factors.
 
     Each factor entry's prior variance is its rank variance; the Tucker core
     uses the weak prior variance.
     """
-    return gaussian_kl_gradients(layer.factors, prior_variance_arrays(layer, weak_prior_var))
+    return gaussian_kl_gradients(layer.factors, _prior_variances(layer, weak_prior_var))
 
 
 def rank_penalty(layer: FactorizedLayer, hyper_prior) -> float:
@@ -259,7 +267,7 @@ def rank_penalty(layer: FactorizedLayer, hyper_prior) -> float:
 
 def layer_kl(layer: FactorizedLayer, hyper_prior, weak_prior_var: float = 1.0) -> float:
     """Total KL of one layer: Gaussian terms plus the rank-variance penalties."""
-    gaussians = gaussian_kl(layer.factors, prior_variance_arrays(layer, weak_prior_var))
+    gaussians = gaussian_kl(layer.factors, _prior_variances(layer, weak_prior_var))
     return gaussians + rank_penalty(layer, hyper_prior)
 
 

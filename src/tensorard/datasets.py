@@ -36,6 +36,7 @@ class LabeledDataset:
     classes: int
 
     def __post_init__(self):
+        self.inputs = np.asarray(self.inputs)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or self.labels.size < 1:
             raise ValueError("labels must be a nonempty 1-d integer array")
@@ -121,7 +122,6 @@ def gen_synthetic(
     true_ranks,
     num_samples: int,
     seed: int = 0,
-    base_inputs=None,
     label_sampling: str = "argmax",
     in_features: int | None = None,
     out_features: int | None = None,
@@ -151,15 +151,7 @@ def gen_synthetic(
     # Teacher factors are plain N(0,1) draws, not variance-matched.
     for f in teacher.layers[0].weight.factors:
         f.mean[...] = rng.standard_normal(f.shape)
-    if base_inputs is not None:
-        inputs = np.asarray(base_inputs, dtype=np.float64)
-        if inputs.shape != (num_samples, in_features):
-            raise ValueError(
-                f"base inputs of shape {inputs.shape} != "
-                f"{(num_samples, in_features)}"
-            )
-    else:
-        inputs = rng.standard_normal((num_samples, in_features))
+    inputs = rng.standard_normal((num_samples, in_features))
     logits = teacher.forward(inputs)
     if label_sampling == "argmax":
         labels = np.argmax(logits, axis=1)

@@ -40,7 +40,6 @@ __all__ = [
     "inferred_ranks",
     "surviving_counts",
     "json_ranks",
-    "prior_variance_arrays",
     "prior_slots",
     "rank_moments",
     "init_layer",
@@ -902,40 +901,23 @@ def surviving_counts(layer: FactorizedLayer, threshold: float) -> list:
     return [int(np.count_nonzero(v >= threshold)) for v in layer.rank_variances]
 
 
-def _along_prior_axes(layer: FactorizedLayer, vectors, fill) -> list:
-    """Per-factor arrays, broadcastable to each factor: the entry of
-    ``vectors`` (one per rank-variance vector) whose rank variance is the
-    factor's prior, laid along its prior axis, or ``fill`` for a factor with
-    no prior axis (the Tucker core)."""
-    out = [None] * len(layer.factors)
-    for vec, axes in zip(vectors, layer.format.rank_axes(layer.order)):
-        for n, axis, prior in axes:
-            if prior:
-                out[n] = vec.reshape(_axis_shape(layer.factors[n].mean.ndim, axis))
-    return [
-        np.full((1,) * f.mean.ndim, fill) if arr is None else arr
-        for arr, f in zip(out, layer.factors)
-    ]
-
-
-def prior_variance_arrays(layer: FactorizedLayer, weak_prior_var: float) -> list:
-    """Per-factor arrays of prior variances, broadcastable to each factor.
+def prior_slots(layer: FactorizedLayer, first: int, weak: int) -> list:
+    """Per-factor index arrays, each of its factor's shape: the slot of every
+    entry's prior variance when the layer's rank-variance vectors lie end to
+    end from slot ``first``, or ``weak`` for an entry with no rank prior.
 
     Every factor entry's Gaussian prior variance is the rank variance of the
     slice it lives in along the factor's prior axis; a factor with no prior
     axis (the Tucker core) uses the weak prior variance instead.
     """
-    return _along_prior_axes(layer, layer.rank_variances, float(weak_prior_var))
-
-
-def prior_slots(layer: FactorizedLayer, first: int, weak: int) -> list:
-    """Per-factor index arrays, each of its factor's shape: the slot of every
-    entry's prior variance when the layer's rank-variance vectors lie end to
-    end from slot ``first``, or ``weak`` for an entry with no rank prior."""
-    starts = np.cumsum([first] + [v.size for v in layer.rank_variances])
-    vectors = [np.arange(a, b) for a, b in zip(starts, starts[1:])]
-    slots = _along_prior_axes(layer, vectors, weak)
-    return [np.broadcast_to(s, f.shape) for s, f in zip(slots, layer.factors)]
+    slots = [np.full(f.shape, weak, dtype=np.intp) for f in layer.factors]
+    for v, axes in zip(layer.rank_variances, layer.format.rank_axes(layer.order)):
+        vec = np.arange(first, first + v.size, dtype=np.intp)
+        for n, axis, prior in axes:
+            if prior:
+                slots[n][...] = vec.reshape(_axis_shape(slots[n].ndim, axis))
+        first += v.size
+    return slots
 
 
 def rank_moments(layer: FactorizedLayer, squares=None) -> list:
@@ -946,7 +928,7 @@ def rank_moments(layer: FactorizedLayer, squares=None) -> list:
     Every entry of a vector governs slices of the same size, so one count
     serves the whole vector.  ``squares`` holds each factor's mean^2 + std^2
     when the caller has computed them already; an entry for a factor with
-    no prior axis (the Tucker core) is never read and may be None.
+    no prior axis (the Tucker core) is never read.
     """
     if squares is None:
         squares = [f.mean * f.mean + f.std * f.std for f in layer.factors]

@@ -345,14 +345,13 @@ class _GaussianStore:
     ``mean`` and ``std`` hold every entry, layer by layer in ``gaussians()``
     order, and each Gaussian's ``mean`` and ``std`` become reshaped views of
     its segment.  ``rank_var`` holds every rank-variance vector end to end,
-    each rebound to its view, and a last slot for the weak prior variance;
-    ``prior_index`` maps every entry to the slot of its prior variance,
-    ``used`` lists the slots some entry uses and ``slot`` maps every entry
-    to its slot's place in ``used``.  ``weights`` holds, per rank-controlled
-    weight, the span of the buffers its rank-prior factors fill (every
-    factor but a Tucker core), each rank-prior factor's segment within that
-    span, None for any other factor, and the slice of ``rank_var`` each of
-    its rank vectors fills.  Building the store copies the current values in.
+    each rebound to its view, and a last slot for the weak prior variance.
+    Each entry's prior slot comes from :func:`factorized.prior_slots`, whose
+    factors are the first Gaussians of their layer; every other entry has the
+    weak prior.  ``used`` lists the slots some entry uses and ``slot`` maps
+    every entry to its slot's place in ``used``.  ``vector_slices`` holds, per
+    rank-controlled weight, the slice of ``rank_var`` each of its rank
+    vectors fills.  Building the store copies the current values in.
     """
 
     def __init__(self, layers):
@@ -367,17 +366,17 @@ class _GaussianStore:
         starts = np.cumsum([0] + [len(gs) for gs in gaussians]).tolist()
         self.layout = [segments[a:b] for a, b in zip(starts, starts[1:])]
 
-        weights = [layer.factorized for layer in layers if layer.factorized is not None]
-        vectors = [v for fl in weights for v in fl.rank_variances]
+        weights = [layer.factorized for layer in layers]
+        vectors = [v for fl in weights if fl is not None for v in fl.rank_variances]
         self.rank_var = np.empty(sum(v.size for v in vectors) + 1)
         weak = self.rank_var.size - 1
-        self.prior_index = np.full(bounds[-1], weak, dtype=np.intp)
-        segment_of = {id(g): segment for g, segment in zip(flat, segments)}
-        self.weights, first = [], 0
-        for fl in weights:
-            factor_segments = [segment_of[id(f)] for f in fl.factors]
-            for (seg, _), slots in zip(factor_segments, factorized.prior_slots(fl, first, weak)):
-                self.prior_index[seg] = slots.reshape(-1)
+        prior_index = np.full(bounds[-1], weak, dtype=np.intp)
+        self.vector_slices, first = [], 0
+        for layer, fl in zip(self.layout, weights):
+            if fl is None:
+                continue
+            for (seg, _), slots in zip(layer, factorized.prior_slots(fl, first, weak)):
+                prior_index[seg] = slots.reshape(-1)
             vector_slices = []
             for k, v in enumerate(fl.rank_variances):
                 view = self.rank_var[first:first + v.size]
@@ -385,17 +384,11 @@ class _GaussianStore:
                 fl.rank_variances[k] = view
                 vector_slices.append(slice(first, first + v.size))
                 first += v.size
-            prior = {n for axes in fl.format.rank_axes(fl.order) for n, _, p in axes if p}
-            start = factor_segments[min(prior)][0].start
-            span = slice(start, factor_segments[max(prior)][0].stop)
-            self.weights.append((fl, span, [
-                (slice(seg.start - start, seg.stop - start), shape) if n in prior else None
-                for n, (seg, shape) in enumerate(factor_segments)
-            ], vector_slices))
+            self.vector_slices.append(vector_slices)
         # a count, not np.unique: its sort of every entry cost more than the
         # rest of the build (0.6 ms on the wide TTM net)
-        in_use = np.bincount(self.prior_index, minlength=self.rank_var.size) > 0
-        self.used, self.slot = np.flatnonzero(in_use), (np.cumsum(in_use) - 1)[self.prior_index]
+        in_use = np.bincount(prior_index, minlength=self.rank_var.size) > 0
+        self.used, self.slot = np.flatnonzero(in_use), (np.cumsum(in_use) - 1)[prior_index]
         self.counts = (len(flat), len(vectors))
 
     def holds(self, layers) -> bool:
@@ -419,11 +412,6 @@ class _GaussianStore:
     def views(self, flat):
         """Per layer, the views of a flat array that align with ``gaussians()``."""
         return [[flat[seg].reshape(shape) for seg, shape in layer] for layer in self.layout]
-
-    def prior_variances(self, weak_var):
-        """Every entry's prior variance, as one flat array."""
-        self.rank_var[-1] = weak_var
-        return self.rank_var[self.prior_index]
 
     def slot_variances(self, weak_var):
         """The prior variance of every slot in use, and ``slot``."""
@@ -557,7 +545,7 @@ class Network:
                 layer_total += float(kl[seg].sum())
             total += layer_total
         penalties = hyper_prior.penalty(store.rank_var[:-1])
-        for *_, vector_slices in store.weights:
+        for vector_slices in store.vector_slices:
             layer_total = 0.0
             for vec in vector_slices:
                 layer_total += float(penalties[vec].sum())
@@ -567,20 +555,20 @@ class Network:
     def kl_gradients(self, weak_prior_std: float = 1.0):
         """KL-part gradients (d/dmean, d/dstd), laid out as :meth:`backward`'s."""
         store = self._gaussian_store()
-        var = store.prior_variances(weak_prior_std * weak_prior_std)
-        return bayes.kl_gaussian_gradients(store.mean, store.std, var)
+        slot_var, slot = store.slot_variances(weak_prior_std * weak_prior_std)
+        return bayes.kl_gaussian_gradients(store.mean, store.std, slot_var[slot])
 
     def update_rank_variances(self, hyper_prior, step: float) -> None:
         """:func:`bayes.update_rank_variances` on every rank-controlled weight,
-        with mean^2 + std^2 computed once over the span of its rank-prior
-        factors; no other entry feeds the rank moments."""
+        with mean^2 + std^2 computed once over the flat buffers and read
+        through the store's views of its layer's factors; only the entries
+        with a rank prior feed the rank moments."""
         store = self._gaussian_store()
-        for fl, span, segments, _ in store.weights:
-            mean, std = store.mean[span], store.std[span]
-            squares = mean * mean + std * std
-            bayes.update_rank_variances(fl, hyper_prior, step, [
-                None if s is None else squares[s[0]].reshape(s[1]) for s in segments
-            ])
+        squares = store.views(store.mean * store.mean + store.std * store.std)
+        for layer, views in zip(self.layers, squares):
+            fl = layer.factorized
+            if fl is not None:
+                bayes.update_rank_variances(fl, hyper_prior, step, views[:len(fl.factors)])
 
     # -- bookkeeping ---------------------------------------------------------------
 

@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 MODES = ("ard", "fixed_rank")
+# Rows per forward pass in :func:`evaluate`, which bounds its activations.
+EVAL_CHUNK = 4096
 
 
 class TrainingDiverged(RuntimeError):
@@ -259,15 +261,15 @@ def train(net: Network, data, config: TrainConfig, test_data=None, out_dir=None)
     return net, report
 
 
-def evaluate(net: Network, data, chunk: int = 4096) -> float:
+def evaluate(net: Network, data) -> float:
     """Posterior-mean accuracy; argmax ties resolve to the lowest class index."""
     if data is None or len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = network._check_labels(data.labels, net.classes)
     hits = 0
-    for start in range(0, len(data), chunk):
-        x = data.inputs[start : start + chunk]
-        y = labels[start : start + chunk]
+    for start in range(0, len(data), EVAL_CHUNK):
+        x = data.inputs[start : start + EVAL_CHUNK]
+        y = labels[start : start + EVAL_CHUNK]
         logits = net.forward(x)
         hits += int((np.argmax(logits, axis=1) == y).sum())
     return hits / len(data)

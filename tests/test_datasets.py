@@ -168,12 +168,6 @@ class TestSynthetic:
         assert ds.inputs.shape == (20, 784)
         assert ds.classes == 10
 
-    def test_base_inputs_used(self):
-        rng = np.random.default_rng(11)
-        base = rng.standard_normal((25, 16))
-        ds, _ = gen_synthetic("cp", [4, 4], [4], 2, num_samples=25, seed=2, base_inputs=base)
-        np.testing.assert_array_equal(ds.inputs, base)
-
 
 class TestBatches:
     def test_sizes_with_short_tail(self):
@@ -234,3 +228,16 @@ class TestLabeledDataset:
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 3)), np.array([0, 5]), 3)
+
+    def test_nested_list_inputs_build_the_array_dataset(self):
+        rows = [[0.0, 1.0], [1.0, 2.0]]
+        got = LabeledDataset(rows, [0, 1], 2)
+        want = LabeledDataset(np.array(rows), np.array([0, 1]), 2)
+        assert got.inputs.dtype == want.inputs.dtype
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert len(got.subset([1])) == 1
+
+    def test_scalar_inputs_rejected(self):
+        with pytest.raises(ValueError, match="sample count"):
+            LabeledDataset(5.0, [0], 2)

@@ -3,7 +3,8 @@
 ``tools/golden_runs.py`` trains 23 short runs through ``tensorard train``
 (every format as a linear and as an embedding net, under both hyper-priors;
 see its docstring) and prints SHA-256 digests of each run's metrics, ranks,
-report and final checkpoint.  This test runs it in-process and compares its
+report and final checkpoint, and of ``tensorard predict``'s output from that
+checkpoint on four fixed inputs.  This test runs it in-process and compares its
 output with ``tools/golden_digests.txt`` line by line, so a change that moves
 any number of any run, by one ulp or more, fails here.  A change that moves
 numbers on purpose regenerates the file, after comparing the two trees' runs

@@ -667,11 +667,17 @@ def reference_sample(net, rng):
 
 
 def reference_prior_variances(layer, weak_var):
-    """Each Gaussian's prior variance: its rank variances, else the weak one."""
+    """Each Gaussian's prior variance: its rank variances, else the weak one.
+
+    The rank variances come from the per-format reference in
+    ``test_rank_axes.py``, not from ``factorized.prior_slots``, which the
+    store itself reads."""
+    from test_rank_axes import ref_prior_variance_arrays
+
     prior = {}
     fl = layer.factorized
     if fl is not None:
-        arrays = factorized.prior_variance_arrays(fl, weak_var)
+        arrays = ref_prior_variance_arrays(fl, weak_var)
         prior = {id(f): var for f, var in zip(fl.factors, arrays)}
     return [prior.get(id(g), weak_var) for g in layer.gaussians()]
 

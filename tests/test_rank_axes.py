@@ -8,6 +8,8 @@ with them bit for bit: values, shapes, dtypes and count types.  Validation
 must accept and reject the same layers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -252,12 +254,17 @@ def assert_bitwise(got, want):
 @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
 class TestMatchesReference:
     def test_prior_variance_arrays(self, config):
+        """Gathered through ``prior_slots``, with the rank-variance vectors end
+        to end from slot 3 and the weak prior at the last slot, every entry's
+        prior variance equals the reference broadcast to its factor."""
         layer = _layer(config, np.random.default_rng(1))
-        got = factorized.prior_variance_arrays(layer, 0.7)
+        table = np.concatenate([[0.1, 0.2, 0.3], *layer.rank_variances, [0.7]])
+        slots = factorized.prior_slots(layer, 3, table.size - 1)
         want = ref_prior_variance_arrays(layer, 0.7)
-        assert len(got) == len(want) == len(layer.factors)
-        for g, w in zip(got, want):
-            assert_bitwise(g, w)
+        assert len(slots) == len(want) == len(layer.factors)
+        for s, w, f in zip(slots, want, layer.factors):
+            assert s.dtype == np.intp
+            assert_bitwise(table[s], np.broadcast_to(w, f.shape))
 
     def test_rank_moments_and_counts(self, config):
         layer = _layer(config, np.random.default_rng(2))
@@ -405,3 +412,15 @@ def test_single_core_and_unequal_ttm_dims_rejected(kind):
         assert not _accepts(ref_validate_shapes, uneven)
         with pytest.raises(ValueError, match="equal-length"):
             uneven._validate_shapes()
+
+
+# -- one statement of the table ------------------------------------------------
+
+
+def test_only_the_format_table_reads_rank_axes():
+    """Which factor slices a rank variance governs is stated once, in
+    ``factorized``; every other module reads it through ``prior_slots``,
+    ``rank_moments``, ``prune`` or the shape checks."""
+    package = Path(factorized.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if "rank_axes" in p.read_text())
+    assert readers == ["factorized.py"]

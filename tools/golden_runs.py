@@ -12,10 +12,13 @@ the KL weight stays 0 and no rank-variance update runs.  The 23rd run trains
 the CP linear net under LogUniform with a hidden 6 -> 6 ``plain_linear``
 (relu) between its two layers; with three layers, the order of the KL's
 per-layer sum shows in its digests.  For every run the script prints the return code and SHA-256 digests of
-``metrics.csv``, ``ranks.json``, the report less its wall time, and every
-array of ``checkpoint_final.npz`` (``meta`` included), one per line, after a
-header line naming the numpy version and the BLAS it was built against.  The
-output holds no path and does not depend on the BLAS thread count.
+``metrics.csv``, ``ranks.json``, every array of ``checkpoint_final.npz``
+(``meta`` included), the report less its wall time, and the JSON that
+``tensorard predict --samples 4 --seed 0`` writes from the final checkpoint
+for four fixed inputs (seeded feature rows for a linear net, token ids 0-3
+for an embedding), one per line, after a header line naming the numpy
+version and the BLAS it was built against.  The output holds no path and
+does not depend on the BLAS thread count.
 
 ``tools/golden_digests.txt`` holds this output for the current tree, and
 ``tests/test_golden.py`` runs the script in-process against it.  A change that
@@ -120,6 +123,21 @@ def embedding3_spec(fmt, out):
     model, data = embedding_spec(fmt, out)
     model["layers"][0].update(row_dims=[2, 2, 5], col_dims=[2, 3, 1])
     return model, data
+
+
+def predict_digest(model, run) -> str:
+    """The digest of ``tensorard predict --samples 4 --seed 0``'s JSON for
+    four fixed inputs to the run's final checkpoint, or its return code."""
+    first = model["layers"][0]
+    if first["type"] == "embedding":
+        inputs = np.arange(4)
+    else:
+        inputs = np.random.default_rng(0).standard_normal((4, math.prod(first["row_dims"])))
+    np.save(run / "predict_input.npy", inputs)
+    rc = cli.main(["predict", "--checkpoint", str(run / "checkpoint_final.npz"),
+                   "--input", str(run / "predict_input.npy"), "--samples", "4",
+                   "--seed", "0", "--out", str(run / "predict.json")])
+    return digest((run / "predict.json").read_bytes()) if rc == 0 else f"rc {rc}"
 
 
 def header() -> str:
@@ -242,6 +260,7 @@ def main(argv):
         report = json.loads((run / "report.json").read_text())
         report.pop("wall_time_s", None)
         print(name, "report", digest(json.dumps(report, sort_keys=True).encode()))
+        print(name, "predict", predict_digest(model, run))
     return 0
 
 
