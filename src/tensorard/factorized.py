@@ -7,7 +7,8 @@ automatic rank determination.
 ``FORMATS`` maps each format kind to one object that states all the format's
 own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
 rank caps, the row|col split of a linear product and the embedding row
-lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's.
+lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's,
+and both contract their chains of cores through ``_lefts`` and ``_rights``.
 A TTM embedding builds just the looked-up rows: each row is the TT chain of
 each core's slice at the row's digit, batched over the distinct ids, and the
 lookup hands its sort, slices and left partials to the rows' backward as a
@@ -393,10 +394,7 @@ class _Tucker(_Format):
 
     def full(self, factors):
         core, mats = factors[-1], factors[:-1]
-        out = core
-        for n, u in enumerate(mats):
-            out = dense.mode_n_product(out, u, n)
-        return out
+        return _batched_chain(core[None], mats, False, range(len(mats)))[0]
 
     def shape(self, factors):
         return tuple(f.shape[0] for f in factors[:-1])
@@ -409,16 +407,17 @@ class _Tucker(_Format):
         s = _split([m.shape[0] for m in mats])
         # Project G once onto each side's factors: the left partial keeps the
         # left modes at full size and the right modes at rank size, and the
-        # right partial the other way round.
-        left = _project(grad, mats, range(s, d))
-        right = _project(grad, mats, range(s))
+        # right partial the other way round.  G enters as a batch of one.
+        left = _batched_chain(grad[None], mats, True, range(s, d))
+        right = _batched_chain(grad[None], mats, True, range(s))
         mat_grads = []
         for n in range(d):
             side = range(s) if n < s else range(s, d)
-            partial = _project(left if n < s else right, mats, [m for m in side if m != n])
+            partial = _batched_chain(left if n < s else right, mats, True,
+                                     [m for m in side if m != n])[0]
             others = [m for m in range(d) if m != n]
             mat_grads.append(np.tensordot(partial, core, axes=(others, others)))
-        core_grad = _project(left, mats, range(s))
+        core_grad = _batched_chain(left, mats, True, range(s))[0]
         return mat_grads + [core_grad]
 
     def _split_madds(self, shapes, n_row):
@@ -504,7 +503,7 @@ class _TT(_Format):
         return [min(math.prod(sizes[:n]), math.prod(sizes[n:])) for n in range(1, len(sizes))]
 
     def full(self, cores):
-        return _tt_left(cores)[..., 0]
+        return _lefts([c[:, :, None] for c in cores])[-1].reshape(self.shape(cores))
 
     def shape(self, cores):
         return tuple(f.shape[1] for f in cores)
@@ -514,13 +513,9 @@ class _TT(_Format):
         leading cores times the right environment of the trailing cores gives
         each core's gradient.  The environments are built once from the cores."""
         d = len(cores)
-        # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
-        rights = [None] * (d + 1)
-        rights[d] = np.ones((1, 1))
-        for i in range(d - 1, 0, -1):
-            r0, n, r1 = cores[i].shape
-            right = cores[i].reshape(r0 * n, r1) @ rights[i + 1]
-            rights[i] = right.reshape(r0, -1)
+        # rights[i]: cores i+1..d-1 contracted, as (r_{i+1}, I_{i+1}..I_{d-1}, 1);
+        # a ones matrix closes the chain after the last core
+        rights = [*_rights([c[:, :, None] for c in cores[1:]]), np.ones((1, 1))]
         # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
         # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
         grads = []
@@ -528,7 +523,7 @@ class _TT(_Format):
         for i, core in enumerate(cores):
             r0, n, r1 = core.shape
             acc = acc.reshape(r0 * n, -1)
-            grads.append((acc @ rights[i + 1].T).reshape(core.shape))
+            grads.append((acc @ rights[i].reshape(r1, -1).T).reshape(core.shape))
             if i < d - 1:
                 acc = core.reshape(r0 * n, r1).T @ acc
         return grads
@@ -539,12 +534,9 @@ class _TT(_Format):
         return 3 * shapes[n_row][0] * (rows + cols)  # as for CP at rank r_b
 
     def split_forward(self, cores, n_row, x):
-        left = _tt_left(cores[:n_row])
-        left = left.reshape(-1, left.shape[-1])
-        right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
-        for core in reversed(cores[n_row:-1]):
-            r0, n, r1 = core.shape
-            right = (core.reshape(r0 * n, r1) @ right).reshape(r0, -1)
+        views, r = [c[:, :, None] for c in cores], cores[n_row].shape[0]
+        left = _lefts(views[:n_row])[-1].reshape(-1, r)
+        right = _rights(views[n_row:])[0].reshape(r, -1)
         xl = x @ left
         return xl @ right, (left, right, xl)
 
@@ -584,25 +576,11 @@ class _TTM(_TT):
         return list(zip(row_dims, col_dims))
 
     def _sides(self, cores):
-        """The balanced bond s and the partial contractions on either side of
-        it, each with its row modes before its column modes: ``lefts[k]`` is
-        cores[:k+1] as (I, J, r_{k+1}) and ``rights[k]`` is cores[s+k:] as
-        (r_{s+k}, I, J).  So A = lefts[-1] is (I<, J<, r) and B = rights[0]
-        is (r, I≥, J≥)."""
+        """The balanced bond s, the :func:`_lefts` of the cores before it and
+        the :func:`_rights` of the rest: A = lefts[-1] is (I<, J<, r) and
+        B = rights[0] is (r, I≥, J≥)."""
         s = _split([c.shape[1] * c.shape[2] for c in cores])
-        lefts = [cores[0][0]]  # r_0 = 1
-        for core in cores[1:s]:
-            r0, n, m, r1 = core.shape
-            i, j = lefts[-1].shape[:2]
-            a = (lefts[-1].reshape(i * j, r0) @ core.reshape(r0, -1)).reshape(i, j, n, m, r1)
-            lefts.append(a.transpose(0, 2, 1, 3, 4).reshape(i * n, j * m, r1))
-        rights = [cores[-1][..., 0]]  # r_d = 1
-        for core in reversed(cores[s:-1]):
-            r0, n, m, r1 = core.shape
-            i, j = rights[0].shape[1:]
-            b = (core.reshape(-1, r1) @ rights[0].reshape(r1, -1)).reshape(r0, n, m, i, j)
-            rights.insert(0, b.transpose(0, 1, 3, 2, 4).reshape(r0, n * i, m * j))
-        return s, lefts, rights
+        return s, _lefts(cores[:s]), _rights(cores[s:])
 
     def full(self, cores):
         """W as A (I<, J<, r) times B (r, I≥, J≥) over the balanced bond:
@@ -654,10 +632,10 @@ class _TTM(_TT):
     def lookup_rows(self, table, points, idx):
         """The rows of ids ``idx`` and the memo :meth:`backprop_rows` takes.
 
-        One stable sort groups repeated ids.  Each distinct id's row is one
-        TT chain, batched over the distinct ids, of each core's slice at the
-        id's row digit: the left partial (U, J_0..J_k, r_{k+1}) times the
-        next slice.  The memo is (firsts, repeats, groups, digits, slices,
+        One stable sort groups repeated ids.  Each distinct id's row is the
+        :func:`_lefts` chain, batched over the distinct ids, of each core's
+        (r_k, J_k, r_{k+1}) slice at the id's row digit, entering as I = 1.
+        The memo is (firsts, repeats, groups, digits, slices,
         lefts): the position in ``idx`` of each distinct id's first
         occurrence, the positions of the later occurrences in sorted order
         and each one's distinct id, the distinct ids' digits, the slices and
@@ -675,11 +653,7 @@ class _TTM(_TT):
         u = starts.size
         digits = np.unravel_index(ids[starts], table.row_dims)
         slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(points, digits)]
-        lefts = [slices[0][:, 0]]  # r_0 = 1
-        for s in slices[1:]:
-            _, r0, n, r1 = s.shape
-            p = lefts[-1].shape[1]
-            lefts.append((lefts[-1] @ s.reshape(u, r0, n * r1)).reshape(u, p * n, r1))
+        lefts = _lefts([s[:, :, None] for s in slices])
         rows = lefts[-1].reshape(u, math.prod(table.col_dims))[inverse]
         return rows, (order[starts], order[repeat], group[repeat], digits, slices, lefts)
 
@@ -701,8 +675,9 @@ class _TTM(_TT):
         per_id = [None] * len(slices)
         for k in range(len(slices) - 1, 0, -1):
             _, r0, n, r1 = slices[k].shape
-            acc = acc.reshape(u, lefts[k - 1].shape[1], n * r1)
-            per_id[k] = lefts[k - 1].swapaxes(1, 2) @ acc
+            left = lefts[k - 1][:, 0]
+            acc = acc.reshape(u, left.shape[1], n * r1)
+            per_id[k] = left.swapaxes(1, 2) @ acc
             acc = acc @ slices[k].reshape(u, r0, n * r1).swapaxes(1, 2)
         per_id[0] = acc
         grads = []
@@ -742,14 +717,36 @@ def _split(dims) -> int:
     )
 
 
-def _tt_left(cores):
-    """TT cores contracted over their bonds from the left: (I_0..I_k, r)."""
-    out = cores[0][0]  # r_0 = 1
+def _lefts(cores):
+    """``lefts[k]``: the (..., r0, I, J, r1) cores[:k+1] contracted over their
+    bonds as (..., I, J, r), row modes before column modes, one chain per
+    entry of the batch axes every core leads with; r_0 = 1.  A TT core
+    enters as a J = 1 view, a batch of row slices as I = 1."""
+    left = cores[0][..., 0, :, :, :]
+    batch, lefts = left.shape[:-3], [left]
     for core in cores[1:]:
-        r0, n, r1 = core.shape
-        modes = out.shape[:-1]
-        out = (out.reshape(-1, r0) @ core.reshape(r0, n * r1)).reshape(*modes, n, r1)
-    return out
+        r0, n, m, r1 = core.shape[-4:]
+        i, j = left.shape[-3:-1]
+        a = left.reshape(batch + (i * j, r0)) @ core.reshape(batch + (r0, n * m * r1))
+        if j > 1 and n > 1:  # a size-1 axis moves nothing, as in a TT or a row chain
+            a = a.reshape(batch + (i, j, n, m, r1)).swapaxes(-4, -3)
+        left = a.reshape(batch + (i * n, j * m, r1))
+        lefts.append(left)
+    return lefts
+
+
+def _rights(cores):
+    """``rights[k]``: the (r0, I, J, r1) cores[k:] contracted over their bonds
+    as (r, I, J), row modes before column modes; r_d = 1."""
+    rights = [cores[-1][..., 0]]
+    for core in reversed(cores[:-1]):
+        r0, n, m, r1 = core.shape
+        i, j = rights[0].shape[1:]
+        b = core.reshape(-1, r1) @ rights[0].reshape(r1, -1)
+        if m > 1 and i > 1:
+            b = b.reshape(r0, n, m, i, j).swapaxes(2, 3)
+        rights.insert(0, b.reshape(r0, n * i, m * j))
+    return rights
 
 
 def _cp_side(mats, partial):
@@ -772,13 +769,6 @@ def _cp_side(mats, partial):
                 operands += [mats[m], [m, r]]
         grads.append(np.einsum(*operands, [n, r]))
     return grads
-
-
-def _project(tensor, mats, modes):
-    """Contract each mode in ``modes`` of ``tensor`` with its factor matrix."""
-    for m in modes:
-        tensor = dense.mode_n_product(tensor, mats[m].T, m)
-    return tensor
 
 
 def _batched_chain(t, mats, project, modes):

@@ -419,6 +419,17 @@ class _GaussianStore:
         return self.rank_var[self.used], self.slot
 
 
+def _layer_sums(total, values, layers):
+    """``total`` plus ``values`` summed over each layer's slices in turn, each
+    layer's sum taken on its own first: the order of :meth:`Network.kl_total`."""
+    for slices in layers:
+        layer_total = 0.0
+        for seg in slices:
+            layer_total += float(values[seg].sum())
+        total += layer_total
+    return total
+
+
 class Network:
     """Ordered layers ending in a ``classes``-way classifier head."""
 
@@ -538,19 +549,9 @@ class Network:
         store = self._gaussian_store()
         slot_var, slot = store.slot_variances(weak_prior_std * weak_prior_std)
         kl = bayes._kl_gaussian_by_slot(store.mean, store.std, slot_var, slot)
-        total = 0.0
-        for layer in store.layout:
-            layer_total = 0.0
-            for seg, _ in layer:
-                layer_total += float(kl[seg].sum())
-            total += layer_total
+        total = _layer_sums(0.0, kl, ([seg for seg, _ in layer] for layer in store.layout))
         penalties = hyper_prior.penalty(store.rank_var[:-1])
-        for vector_slices in store.vector_slices:
-            layer_total = 0.0
-            for vec in vector_slices:
-                layer_total += float(penalties[vec].sum())
-            total += layer_total
-        return total
+        return _layer_sums(total, penalties, store.vector_slices)
 
     def kl_gradients(self, weak_prior_std: float = 1.0):
         """KL-part gradients (d/dmean, d/dstd), laid out as :meth:`backward`'s."""

@@ -16,7 +16,14 @@ relative, not bit for bit.  A TTM embedding now runs a TT chain on its
 cores' row slices, one TT per looked-up token, and is reached here through
 ``embedding_lookup`` and through ``Embedding.forward`` and
 ``Embedding.backward``, the backward taking the forward's cache entry.
+
+The last section keeps the loops that the shared TT/TTM chain helpers
+(``factorized._lefts`` and ``_rights``) and the Tucker mode-product chain
+(``_batched_chain``) replaced; those keep every GEMM's operands and order, so
+they must agree with their loops bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -650,3 +657,197 @@ def _cfg(kind, row_dims, col_dims, rank, in_out=None):
 ])
 def test_path_choice_on_fixed_shapes(cfg, split):
     assert _takes_split(cfg) == split
+
+
+# -- the shared chains against the loops they replaced ------------------------------
+#
+# TT and TTM contract their chains of cores through ``factorized._lefts`` and
+# ``_rights``, and Tucker its mode products through ``_batched_chain``.  The
+# references below are the loops those helpers replaced, verbatim: TT's left
+# chain, the split's right chain, the backprop's right environments, TTM's
+# two side chains and its per-id row chain, and the unbatched projection and
+# reconstruction.  Every GEMM keeps its operands and its order, so each
+# helper must agree with its loop bit for bit, on the benchmark's shapes.
+
+
+def _ref_tt_left(cores):
+    """TT cores contracted over their bonds from the left: (I_0..I_k, r)."""
+    out = cores[0][0]  # r_0 = 1
+    for core in cores[1:]:
+        r0, n, r1 = core.shape
+        modes = out.shape[:-1]
+        out = (out.reshape(-1, r0) @ core.reshape(r0, n * r1)).reshape(*modes, n, r1)
+    return out
+
+
+def _ref_tt_split_right(cores, n_row):
+    """The right chain of the TT split: cores[n_row:] as an (r_b, J) matrix."""
+    right = cores[-1].reshape(cores[-1].shape[0], -1)  # r_d = 1
+    for core in reversed(cores[n_row:-1]):
+        r0, n, r1 = core.shape
+        right = (core.reshape(r0 * n, r1) @ right).reshape(r0, -1)
+    return right
+
+
+def _ref_tt_environments(cores):
+    """The right environments of the TT backprop."""
+    d = len(cores)
+    # rights[i]: cores i..d-1 contracted, as an (r_i, I_i..I_{d-1}) matrix
+    rights = [None] * (d + 1)
+    rights[d] = np.ones((1, 1))
+    for i in range(d - 1, 0, -1):
+        r0, n, r1 = cores[i].shape
+        right = cores[i].reshape(r0 * n, r1) @ rights[i + 1]
+        rights[i] = right.reshape(r0, -1)
+    return rights
+
+
+def _ref_ttm_sides(cores):
+    s = factorized._split([c.shape[1] * c.shape[2] for c in cores])
+    lefts = [cores[0][0]]  # r_0 = 1
+    for core in cores[1:s]:
+        r0, n, m, r1 = core.shape
+        i, j = lefts[-1].shape[:2]
+        a = (lefts[-1].reshape(i * j, r0) @ core.reshape(r0, -1)).reshape(i, j, n, m, r1)
+        lefts.append(a.transpose(0, 2, 1, 3, 4).reshape(i * n, j * m, r1))
+    rights = [cores[-1][..., 0]]  # r_d = 1
+    for core in reversed(cores[s:-1]):
+        r0, n, m, r1 = core.shape
+        i, j = rights[0].shape[1:]
+        b = (core.reshape(-1, r1) @ rights[0].reshape(r1, -1)).reshape(r0, n, m, i, j)
+        rights.insert(0, b.transpose(0, 1, 3, 2, 4).reshape(r0, n * i, m * j))
+    return s, lefts, rights
+
+
+def _ref_ttm_row_lefts(points, digits):
+    """The per-id chain of the TTM row lookup: (U, J_0..J_k, r_{k+1})."""
+    u = digits[0].size
+    slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(points, digits)]
+    lefts = [slices[0][:, 0]]  # r_0 = 1
+    for s in slices[1:]:
+        _, r0, n, r1 = s.shape
+        p = lefts[-1].shape[1]
+        lefts.append((lefts[-1] @ s.reshape(u, r0, n * r1)).reshape(u, p * n, r1))
+    return lefts
+
+
+def _ref_project(tensor, mats, modes):
+    """Contract each mode in ``modes`` of ``tensor`` with its factor matrix."""
+    for m in modes:
+        tensor = dense.mode_n_product(tensor, mats[m].T, m)
+    return tensor
+
+
+def _ref_tucker_full(factors):
+    core, mats = factors[-1], factors[:-1]
+    out = core
+    for n, u in enumerate(mats):
+        out = dense.mode_n_product(out, u, n)
+    return out
+
+
+def _ref_tucker_split_backprop(factors, grad):
+    core, mats = factors[-1], factors[:-1]
+    d = len(mats)
+    s = factorized._split([m.shape[0] for m in mats])
+    left = _ref_project(grad, mats, range(s, d))
+    right = _ref_project(grad, mats, range(s))
+    mat_grads = []
+    for n in range(d):
+        side = range(s) if n < s else range(s, d)
+        partial = _ref_project(left if n < s else right, mats, [m for m in side if m != n])
+        others = [m for m in range(d) if m != n]
+        mat_grads.append(np.tensordot(partial, core, axes=(others, others)))
+    core_grad = _ref_project(left, mats, range(s))
+    return mat_grads + [core_grad]
+
+
+def assert_same_entries(got, want):
+    """Bit-equal entries in the same order; ``got`` may merge ``want``'s modes."""
+    assert got.size == want.size
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+def _points(kind, row_dims, col_dims, rank):
+    rng = np.random.default_rng(sum(row_dims) + 7 * sum(col_dims) + rank)
+    return factorized.init_layer(kind, row_dims, col_dims, rank, rng).point_means()
+
+
+@pytest.mark.parametrize("row_dims,col_dims,rank", [
+    ([28, 28], [16, 32], 20),  # the wide net's 784 -> 512 layer
+    ([32, 16], [10], 20),  # its head
+    ([28, 28], [10], 10),  # the criterion-1 config
+], ids=["wide", "head", "narrow"])
+def test_tt_chains_match_the_loops_they_replace(row_dims, col_dims, rank):
+    cores = _points("tt", row_dims, col_dims, rank)
+    views = [c[:, :, None] for c in cores]
+    d = len(cores)
+    for k, left in enumerate(factorized._lefts(views)):
+        assert left.shape[1] == 1
+        assert_same_entries(left, _ref_tt_left(cores[:k + 1]))
+    for n_row in range(1, d):
+        assert_same_entries(factorized._rights(views[n_row:])[0],
+                            _ref_tt_split_right(cores, n_row))
+    environments = _ref_tt_environments(cores)
+    for i, right in enumerate(factorized._rights(views[1:]), start=1):
+        assert_same_entries(right, environments[i])
+    fmt = factorized.FORMATS["tt"]
+    assert np.array_equal(fmt.full(cores), _ref_tt_left(cores)[..., 0])
+    x = np.random.default_rng(1).standard_normal((3, math.prod(row_dims)))
+    n_row = len(row_dims)
+    _, (left, right, _) = fmt.split_forward(cores, n_row, x)
+    ref_left = _ref_tt_left(cores[:n_row])
+    assert np.array_equal(left, ref_left.reshape(-1, ref_left.shape[-1]))
+    assert np.array_equal(right, _ref_tt_split_right(cores, n_row))
+
+
+@pytest.mark.parametrize("row_dims,col_dims,rank", [
+    ([4, 7, 4, 7], [4, 4, 8, 4], 20),  # the wide net's 784 -> 512 layer
+    ([4, 7, 4], [7, 2, 5], 10),  # the criterion-1 config
+    ([2, 3, 3, 2], [2, 3, 3, 2], 3),  # a partial's J, then I, of 2 beside the bond
+], ids=["wide", "narrow", "twos"])
+def test_ttm_sides_match_the_loops_they_replace(row_dims, col_dims, rank):
+    cores = _points("ttm", row_dims, col_dims, rank)
+    s, lefts, rights = factorized.FORMATS["ttm"]._sides(cores)
+    ref_s, ref_lefts, ref_rights = _ref_ttm_sides(cores)
+    assert s == ref_s
+    assert len(lefts) == len(ref_lefts) and len(rights) == len(ref_rights)
+    for got, want in zip(lefts + rights, ref_lefts + ref_rights):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ids", [[], [7], [3, 3, 9999, 3, 42, 9999, 0]],
+                         ids=["0ids", "1id", "repeats"])
+def test_ttm_row_chain_matches_the_loop_it_replaces(ids):
+    row_dims, col_dims = [10, 10, 10, 10], [2, 2, 2, 4]
+    table = factorized.init_layer("ttm", row_dims, col_dims, 6, np.random.default_rng(5))
+    points = table.point_means()
+    idx = np.array(ids, dtype=np.int64)
+    rows, memo = factorized.FORMATS["ttm"].lookup_rows(table, points, idx)
+    digits, lefts = memo[3], memo[5]
+    ref = _ref_ttm_row_lefts(points, digits)
+    assert len(lefts) == len(ref)
+    for got, want in zip(lefts, ref):
+        assert got.shape[1] == 1
+        assert_same_entries(got, want)
+    _, inverse = np.unique(idx, return_inverse=True)
+    assert np.array_equal(rows, ref[-1].reshape(digits[0].size, math.prod(col_dims))[inverse])
+
+
+def test_tucker_chain_matches_the_loops_it_replaces():
+    factors = _points("tucker", [28, 28], [16, 32], 12)
+    core, mats = factors[-1], factors[:-1]
+    grad = np.random.default_rng(2).standard_normal((28, 28, 16, 32))
+    fmt = factorized.FORMATS["tucker"]
+    assert np.array_equal(fmt.full(factors), _ref_tucker_full(factors))
+    for modes in ([0], [3], [2, 3], [0, 1], [0, 2], [0, 1, 2, 3]):
+        got = factorized._batched_chain(grad[None], mats, True, modes)
+        assert got.shape[0] == 1
+        assert np.array_equal(got[0], _ref_project(grad, mats, modes))
+    got = fmt.backprop(factors, grad)
+    want = _ref_tucker_split_backprop(factors, grad)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
