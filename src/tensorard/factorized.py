@@ -8,12 +8,14 @@ automatic rank determination.
 own formulas: shapes, ranks and rank axes, reconstruction and its backprop,
 rank caps, the row|col split of a linear product and the embedding row
 lookup.  TTM is TT over merged (I_n·J_n) modes, so its class extends TT's,
-and both contract their chains of cores through ``_lefts`` and ``_rights``.
-A TTM embedding builds just the looked-up rows: each row is the TT chain of
-each core's slice at the row's digit, batched over the distinct ids, and the
-lookup hands its sort, slices and left partials to the rows' backward as a
-memo, so the backward repeats none of the forward's work.  No caller tests a
-format's name.
+and both contract their chains of cores through ``_lefts`` and ``_rights``
+and sweep every chain's gradient through ``_left_grads`` and
+``_right_grads``, each side of the TT split being a chain open at the
+boundary bond.  A TTM embedding builds just the looked-up rows, each the TT
+chain of each core's slice at the row's digit, batched over the distinct
+ids; the lookup hands its sort, slices and left partials to the rows'
+backward as a memo, so the backward repeats none of the forward's work.  No
+caller tests a format's name.
 """
 
 from __future__ import annotations
@@ -509,24 +511,10 @@ class _TT(_Format):
         return tuple(f.shape[1] for f in cores)
 
     def backprop(self, cores, grad):
-        """One left-to-right sweep: the running contraction of G with the
-        leading cores times the right environment of the trailing cores gives
-        each core's gradient.  The environments are built once from the cores."""
-        d = len(cores)
-        # rights[i]: cores i+1..d-1 contracted, as (r_{i+1}, I_{i+1}..I_{d-1}, 1);
-        # a ones matrix closes the chain after the last core
-        rights = [*_rights([c[:, :, None] for c in cores[1:]]), np.ones((1, 1))]
-        # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
-        # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
-        grads = []
-        acc = grad.reshape(1, -1)
-        for i, core in enumerate(cores):
-            r0, n, r1 = core.shape
-            acc = acc.reshape(r0 * n, -1)
-            grads.append((acc @ rights[i].reshape(r1, -1).T).reshape(core.shape))
-            if i < d - 1:
-                acc = core.reshape(r0 * n, r1).T @ acc
-        return grads
+        """The :func:`_right_grads` sweep from bond 0 over the cores' J = 1 views."""
+        views = [c[:, :, None] for c in cores]
+        grads = _right_grads(views, grad.reshape(1, -1), _rights(views[1:]))
+        return [g.reshape(c.shape) for g, c in zip(grads, cores)]
 
     def _split_madds(self, shapes, n_row):
         rows = math.prod(s[1] for s in shapes[:n_row])
@@ -543,14 +531,15 @@ class _TT(_Format):
     def split_backward(self, cores, n_row, x, memo, g, need_input_grad):
         left, right, xl = memo
         gr = g @ right.T
-        # Each side is a TT closed by an identity core on the boundary bond,
-        # so the TT sweep maps dL and dR onto the side's cores.
-        eye = np.eye(left.shape[1])
-        # xᵀ(g·R) is taken as ((g·R)ᵀx)ᵀ, as network._dense_grads takes xᵀg;
-        # the sweep's first reshape copies it into C order.
-        rows = self.backprop([*cores[:n_row], eye[:, :, None]], (gr.T @ x).T)[:-1]
-        cols = self.backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
-        return rows + cols, gr @ left.T if need_input_grad else None
+        # Each side is a chain open at the boundary bond, the last row core
+        # entering with the bond as its J.  xᵀ(g·R) is taken as ((g·R)ᵀx)ᵀ, as
+        # network._dense_grads takes xᵀg; its reshape copies it into C order.
+        views = [c[:, :, None] for c in cores]
+        rows = [*views[:n_row - 1], cores[n_row - 1][..., None]]
+        grads = (_right_grads(rows, (gr.T @ x).T.reshape(1, -1), _rights(rows[1:]))
+                 + _right_grads(views[n_row:], xl.T @ g, _rights(views[n_row + 1:])))
+        grads = [d.reshape(c.shape) for d, c in zip(grads, cores)]
+        return grads, gr @ left.T if need_input_grad else None
 
 
 class _TTM(_TT):
@@ -601,9 +590,8 @@ class _TTM(_TT):
         (I<, I≥, J<, J≥), is transposed once into an (I<·J<, I≥·J≥) matrix;
         then gA = G·Bᵀ and gB = Aᵀ·G are two GEMMs of about I·J·r
         multiply-adds each.  Each side then sweeps from the bond outwards,
-        one core at a time: the core's gradient contracts the side's running
-        gradient with the partial beyond the core, and the running gradient
-        passes through the core.  A side of one core takes its gradient as a
+        the cores before it through :func:`_left_grads` and the rest through
+        :func:`_right_grads`; a side of one core takes its gradient as a
         reshape."""
         if len(cores) == 1:
             return [grad.reshape(cores[0].shape).copy()]
@@ -612,22 +600,8 @@ class _TTM(_TT):
         g = grad.reshape(ri, ro, ci, co).transpose(0, 2, 1, 3).reshape(ri * ci, ro * co)
         g_a = g @ rights[0].reshape(r, -1).T
         g_b = lefts[-1].reshape(-1, r).T @ g
-        grads = [None] * len(cores)
-        for k in range(s - 1, 0, -1):
-            r0, n, m, r1 = cores[k].shape
-            i, j = lefts[k - 1].shape[:2]
-            g_a = g_a.reshape(i, n, j, m, r1).transpose(0, 2, 1, 3, 4).reshape(i * j, -1)
-            grads[k] = (lefts[k - 1].reshape(-1, r0).T @ g_a).reshape(cores[k].shape)
-            g_a = g_a @ cores[k].reshape(r0, -1).T
-        grads[0] = g_a.reshape(cores[0].shape)
-        for k in range(s, len(cores) - 1):
-            r0, n, m, r1 = cores[k].shape
-            i, j = rights[k - s + 1].shape[1:]
-            g_b = g_b.reshape(r0, n, i, m, j).transpose(0, 1, 3, 2, 4).reshape(-1, i * j)
-            grads[k] = (g_b @ rights[k - s + 1].reshape(r1, -1).T).reshape(cores[k].shape)
-            g_b = cores[k].reshape(-1, r1).T @ g_b
-        grads[-1] = g_b.reshape(cores[-1].shape)
-        return grads
+        grads = _left_grads(cores[:s], g_a, lefts) + _right_grads(cores[s:], g_b, rights[1:])
+        return [d.reshape(c.shape) for d, c in zip(grads, cores)]
 
     def lookup_rows(self, table, points, idx):
         """The rows of ids ``idx`` and the memo :meth:`backprop_rows` takes.
@@ -635,10 +609,10 @@ class _TTM(_TT):
         One stable sort groups repeated ids.  Each distinct id's row is the
         :func:`_lefts` chain, batched over the distinct ids, of each core's
         (r_k, J_k, r_{k+1}) slice at the id's row digit, entering as I = 1.
-        The memo is (firsts, repeats, groups, digits, slices,
-        lefts): the position in ``idx`` of each distinct id's first
-        occurrence, the positions of the later occurrences in sorted order
-        and each one's distinct id, the distinct ids' digits, the slices and
+        The memo is (firsts, repeats, groups, digits, slices, lefts): the
+        position in ``idx`` of each distinct id's first occurrence, the
+        positions of the later occurrences in sorted order and each one's
+        distinct id, the distinct ids' digits, the slices as I = 1 views and
         every left partial."""
         order = np.argsort(idx, kind="stable")
         ids = idx[order]
@@ -652,8 +626,9 @@ class _TTM(_TT):
         repeat = ~first
         u = starts.size
         digits = np.unravel_index(ids[starts], table.row_dims)
-        slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0) for core, d in zip(points, digits)]
-        lefts = _lefts([s[:, :, None] for s in slices])
+        slices = [np.take(np.moveaxis(core, 1, 0), d, axis=0)[:, :, None]
+                  for core, d in zip(points, digits)]
+        lefts = _lefts(slices)
         rows = lefts[-1].reshape(u, math.prod(table.col_dims))[inverse]
         return rows, (order[starts], order[repeat], group[repeat], digits, slices, lefts)
 
@@ -661,33 +636,22 @@ class _TTM(_TT):
         """Repeated ids' gradients are summed once: each distinct id's first
         row, then its repeats added in sorted order (``np.add.at``, the
         sequential sum ``np.add.reduceat`` over the sorted groups would take,
-        without copying the many ids seen once); a right-to-left sweep
-        against the memo's left partials gives each distinct id's slice
-        gradients, two batched GEMMs per core; and a one-hot (I_n x U) GEMM
-        adds them into each core's I_n row slices, at a cost of
-        I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small."""
+        without copying the many ids seen once); the :func:`_left_grads`
+        sweep over the slices, entering as I = 1 and batched over the
+        distinct ids, against the memo's left partials gives each distinct
+        id's slice gradients, two batched GEMMs per core; and a one-hot
+        (I_n x U) GEMM adds them into each core's I_n row slices, at a cost
+        of I_n*U*r_{n-1}*J_n*r_n, small because TTM row modes are small."""
         firsts, repeats, groups, digits, slices, lefts = memo
-        u = firsts.size
-        # acc: the summed gradient contracted with slices k+1.., as
-        # (U, J_0..J_k, r_{k+1}); the last core's r_d is 1.
         acc = row_grads[firsts]
         np.add.at(acc, groups, row_grads[repeats])
-        per_id = [None] * len(slices)
-        for k in range(len(slices) - 1, 0, -1):
-            _, r0, n, r1 = slices[k].shape
-            left = lefts[k - 1][:, 0]
-            acc = acc.reshape(u, left.shape[1], n * r1)
-            per_id[k] = left.swapaxes(1, 2) @ acc
-            acc = acc @ slices[k].reshape(u, r0, n * r1).swapaxes(1, 2)
-        per_id[0] = acc
+        per_id = _left_grads(slices, acc[..., None], lefts)
         grads = []
         for core, d, g in zip(points, digits, per_id):
             r_in, rows, cols, r_out = core.shape
             one_hot = (d == np.arange(rows)[:, None]).astype(np.float64)
-            buf = one_hot @ g.reshape(u, r_in * cols * r_out)
-            grads.append(
-                np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
-            )
+            buf = one_hot @ g.reshape(d.size, r_in * cols * r_out)
+            grads.append(np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).swapaxes(0, 1)))
         return grads
 
 
@@ -737,7 +701,9 @@ def _lefts(cores):
 
 def _rights(cores):
     """``rights[k]``: the (r0, I, J, r1) cores[k:] contracted over their bonds
-    as (r, I, J), row modes before column modes; r_d = 1."""
+    as (r, I, J), row modes before column modes; r_d = 1; none for no cores."""
+    if not cores:
+        return []
     rights = [cores[-1][..., 0]]
     for core in reversed(cores[:-1]):
         r0, n, m, r1 = core.shape
@@ -747,6 +713,40 @@ def _rights(cores):
             b = b.reshape(r0, n, m, i, j).swapaxes(2, 3)
         rights.insert(0, b.reshape(r0, n * i, m * j))
     return rights
+
+
+def _left_grads(cores, g, lefts):
+    """Each core's gradient, entries in order, from ``g``, that of ``lefts[-1]``
+    (the :func:`_lefts` of ``cores``) as (..., I·J, r), swept right to left:
+    the running gradient meets the partial before a core, then the core."""
+    batch, grads = g.shape[:-2], []
+    for core, left in zip(cores[:0:-1], lefts[-2::-1]):
+        r0, n, m, r1 = core.shape[-4:]
+        i, j = left.shape[-3:-1]
+        if n > 1 and j > 1:
+            g = g.reshape(batch + (i, n, j, m * r1)).swapaxes(-3, -2)
+        g = g.reshape(batch + (i * j, n * m * r1))
+        grads.append(left.reshape(batch + (i * j, r0)).swapaxes(-1, -2) @ g)
+        g = g @ core.reshape(batch + (r0, n * m * r1)).swapaxes(-1, -2)
+    grads.append(g)
+    return grads[::-1]
+
+
+def _right_grads(cores, g, rights):
+    """Each core's gradient, entries in order, from ``g``, that of the chain
+    as (r, I·J), swept left to right: the running gradient meets
+    ``rights[k]``, the :func:`_rights` of ``cores[k+1:]``, then core k."""
+    grads = []
+    for core, right in zip(cores, rights):
+        r0, n, m, r1 = core.shape
+        i, j = right.shape[1:]
+        if i > 1 and m > 1:
+            g = g.reshape(r0 * n, i, m, j).swapaxes(1, 2)
+        g = g.reshape(r0 * n * m, i * j)
+        grads.append(g @ right.reshape(r1, -1).T)
+        g = core.reshape(-1, r1).T @ g
+    grads.append(g)
+    return grads
 
 
 def _cp_side(mats, partial):

@@ -429,9 +429,9 @@ def ref_embedding_backward(self, entry, g, points, need_input_grad):
 
 # The TTM row kernels as they were before the lookup handed its work to the
 # backward: each call finds the unique ids, gathers the row slices and runs
-# the TT kernels batched over the ids (``_TT.full`` and ``_TT.backprop`` on
-# cores with a leading batch axis), and repeated ids are summed with
-# ``np.add.at``.
+# the TT kernels batched over the ids (the TT reconstruction and backprop
+# sweep of that time, on cores with a leading batch axis), and repeated ids
+# are summed with ``np.add.at``.
 
 
 def _batched_tt_left(cores):

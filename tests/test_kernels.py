@@ -18,7 +18,8 @@ cores' row slices, one TT per looked-up token, and is reached here through
 ``Embedding.backward``, the backward taking the forward's cache entry.
 
 The last section keeps the loops that the shared TT/TTM chain helpers
-(``factorized._lefts`` and ``_rights``) and the Tucker mode-product chain
+(``factorized._lefts`` and ``_rights``), their gradient sweeps
+(``_left_grads`` and ``_right_grads``) and the Tucker mode-product chain
 (``_batched_chain``) replaced; those keep every GEMM's operands and order, so
 they must agree with their loops bit for bit.
 """
@@ -662,12 +663,17 @@ def test_path_choice_on_fixed_shapes(cfg, split):
 # -- the shared chains against the loops they replaced ------------------------------
 #
 # TT and TTM contract their chains of cores through ``factorized._lefts`` and
-# ``_rights``, and Tucker its mode products through ``_batched_chain``.  The
-# references below are the loops those helpers replaced, verbatim: TT's left
-# chain, the split's right chain, the backprop's right environments, TTM's
-# two side chains and its per-id row chain, and the unbatched projection and
-# reconstruction.  Every GEMM keeps its operands and its order, so each
-# helper must agree with its loop bit for bit, on the benchmark's shapes.
+# ``_rights`` and sweep their gradients through ``_left_grads`` and
+# ``_right_grads``, and Tucker its mode products through ``_batched_chain``.
+# The references below are the loops those helpers replaced, verbatim: TT's
+# left chain, the split's right chain, the backprop's right environments,
+# TTM's two side chains and its per-id row chain, TT's backprop sweep closed
+# by a ones matrix, its split's backward through identity cores on the
+# boundary bond, TTM's two side sweeps and its per-id row sweep, and the
+# unbatched projection and reconstruction.  Every GEMM keeps its operands and
+# its order (the ones matrix and the identity cores only multiply by 1 and
+# add zeros), so each helper must agree with its loop bit for bit, on the
+# benchmark's shapes.
 
 
 def _ref_tt_left(cores):
@@ -731,6 +737,93 @@ def _ref_ttm_row_lefts(points, digits):
     return lefts
 
 
+def _ref_tt_backprop(cores, grad):
+    """The TT backprop's left-to-right sweep, closed by a ones matrix."""
+    d = len(cores)
+    # rights[i]: cores i+1..d-1 contracted, as (r_{i+1}, I_{i+1}..I_{d-1}, 1);
+    # a ones matrix closes the chain after the last core
+    rights = [*factorized._rights([c[:, :, None] for c in cores[1:]]), np.ones((1, 1))]
+    # One left-to-right sweep: acc holds G contracted with cores 0..i-1, as
+    # an (r_i * I_i, I_{i+1}..I_{d-1}) matrix, so every step is one GEMM.
+    grads = []
+    acc = grad.reshape(1, -1)
+    for i, core in enumerate(cores):
+        r0, n, r1 = core.shape
+        acc = acc.reshape(r0 * n, -1)
+        grads.append((acc @ rights[i].reshape(r1, -1).T).reshape(core.shape))
+        if i < d - 1:
+            acc = core.reshape(r0 * n, r1).T @ acc
+    return grads
+
+
+def _ref_tt_split_backward(cores, n_row, x, memo, g, need_input_grad):
+    """The TT split's backward, each side closed by an identity core."""
+    left, right, xl = memo
+    gr = g @ right.T
+    # Each side is a TT closed by an identity core on the boundary bond,
+    # so the TT sweep maps dL and dR onto the side's cores.
+    eye = np.eye(left.shape[1])
+    # xᵀ(g·R) is taken as ((g·R)ᵀx)ᵀ, as network._dense_grads takes xᵀg;
+    # the sweep's first reshape copies it into C order.
+    rows = _ref_tt_backprop([*cores[:n_row], eye[:, :, None]], (gr.T @ x).T)[:-1]
+    cols = _ref_tt_backprop([eye[None], *cores[n_row:]], xl.T @ g)[1:]
+    return rows + cols, gr @ left.T if need_input_grad else None
+
+
+def _ref_ttm_backprop(cores, grad):
+    """TTM's backprop with its two side sweeps written out."""
+    if len(cores) == 1:
+        return [grad.reshape(cores[0].shape).copy()]
+    s, lefts, rights = factorized.FORMATS["ttm"]._sides(cores)
+    (ri, ci, r), (_, ro, co) = lefts[-1].shape, rights[0].shape
+    g = grad.reshape(ri, ro, ci, co).transpose(0, 2, 1, 3).reshape(ri * ci, ro * co)
+    g_a = g @ rights[0].reshape(r, -1).T
+    g_b = lefts[-1].reshape(-1, r).T @ g
+    grads = [None] * len(cores)
+    for k in range(s - 1, 0, -1):
+        r0, n, m, r1 = cores[k].shape
+        i, j = lefts[k - 1].shape[:2]
+        g_a = g_a.reshape(i, n, j, m, r1).transpose(0, 2, 1, 3, 4).reshape(i * j, -1)
+        grads[k] = (lefts[k - 1].reshape(-1, r0).T @ g_a).reshape(cores[k].shape)
+        g_a = g_a @ cores[k].reshape(r0, -1).T
+    grads[0] = g_a.reshape(cores[0].shape)
+    for k in range(s, len(cores) - 1):
+        r0, n, m, r1 = cores[k].shape
+        i, j = rights[k - s + 1].shape[1:]
+        g_b = g_b.reshape(r0, n, i, m, j).transpose(0, 1, 3, 2, 4).reshape(-1, i * j)
+        grads[k] = (g_b @ rights[k - s + 1].reshape(r1, -1).T).reshape(cores[k].shape)
+        g_b = cores[k].reshape(-1, r1).T @ g_b
+    grads[-1] = g_b.reshape(cores[-1].shape)
+    return grads
+
+
+def _ref_ttm_backprop_rows(points, memo, row_grads):
+    """The TTM rows' backward with its per-id right-to-left sweep."""
+    firsts, repeats, groups, digits, slices, lefts = memo
+    u = firsts.size
+    # acc: the summed gradient contracted with slices k+1.., as
+    # (U, J_0..J_k, r_{k+1}); the last core's r_d is 1.
+    acc = row_grads[firsts]
+    np.add.at(acc, groups, row_grads[repeats])
+    per_id = [None] * len(slices)
+    for k in range(len(slices) - 1, 0, -1):
+        _, r0, n, r1 = slices[k].shape
+        left = lefts[k - 1][:, 0]
+        acc = acc.reshape(u, left.shape[1], n * r1)
+        per_id[k] = left.swapaxes(1, 2) @ acc
+        acc = acc @ slices[k].reshape(u, r0, n * r1).swapaxes(1, 2)
+    per_id[0] = acc
+    grads = []
+    for core, d, g in zip(points, digits, per_id):
+        r_in, rows, cols, r_out = core.shape
+        one_hot = (d == np.arange(rows)[:, None]).astype(np.float64)
+        buf = one_hot @ g.reshape(u, r_in * cols * r_out)
+        grads.append(
+            np.ascontiguousarray(buf.reshape(rows, r_in, cols, r_out).transpose(1, 0, 2, 3))
+        )
+    return grads
+
+
 def _ref_project(tensor, mats, modes):
     """Contract each mode in ``modes`` of ``tensor`` with its factor matrix."""
     for m in modes:
@@ -768,6 +861,14 @@ def assert_same_entries(got, want):
     assert np.array_equal(got.reshape(want.shape), want)
 
 
+def assert_same_arrays(got, want):
+    """Two lists of arrays, bit-equal and of the same shapes, in order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
 def _points(kind, row_dims, col_dims, rank):
     rng = np.random.default_rng(sum(row_dims) + 7 * sum(col_dims) + rank)
     return factorized.init_layer(kind, row_dims, col_dims, rank, rng).point_means()
@@ -777,7 +878,8 @@ def _points(kind, row_dims, col_dims, rank):
     ([28, 28], [16, 32], 20),  # the wide net's 784 -> 512 layer
     ([32, 16], [10], 20),  # its head
     ([28, 28], [10], 10),  # the criterion-1 config
-], ids=["wide", "head", "narrow"])
+    ([2, 3, 3, 2], [2, 3], 3),  # modes and bonds of 2 and 3
+], ids=["wide", "head", "narrow", "twos"])
 def test_tt_chains_match_the_loops_they_replace(row_dims, col_dims, rank):
     cores = _points("tt", row_dims, col_dims, rank)
     views = [c[:, :, None] for c in cores]
@@ -799,6 +901,18 @@ def test_tt_chains_match_the_loops_they_replace(row_dims, col_dims, rank):
     ref_left = _ref_tt_left(cores[:n_row])
     assert np.array_equal(left, ref_left.reshape(-1, ref_left.shape[-1]))
     assert np.array_equal(right, _ref_tt_split_right(cores, n_row))
+    rng = np.random.default_rng(3)
+    grad = rng.standard_normal(fmt.shape(cores))
+    assert_same_arrays(fmt.backprop(cores, grad), _ref_tt_backprop(cores, grad))
+    # the split at every boundary: one row core first, one column core last
+    for n_row in range(1, d):
+        x = rng.standard_normal((3, math.prod(fmt.shape(cores[:n_row]))))
+        g = rng.standard_normal((3, math.prod(fmt.shape(cores[n_row:]))))
+        _, memo = fmt.split_forward(cores, n_row, x)
+        got, got_in = fmt.split_backward(cores, n_row, x, memo, g, True)
+        want, want_in = _ref_tt_split_backward(cores, n_row, x, memo, g, True)
+        assert_same_arrays(got, want)
+        assert np.array_equal(got_in, want_in)
 
 
 @pytest.mark.parametrize("row_dims,col_dims,rank", [
@@ -815,6 +929,9 @@ def test_ttm_sides_match_the_loops_they_replace(row_dims, col_dims, rank):
     for got, want in zip(lefts + rights, ref_lefts + ref_rights):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+    fmt = factorized.FORMATS["ttm"]
+    grad = np.random.default_rng(4).standard_normal(fmt.shape(cores))
+    assert_same_arrays(fmt.backprop(cores, grad), _ref_ttm_backprop(cores, grad))
 
 
 @pytest.mark.parametrize("ids", [[], [7], [3, 3, 9999, 3, 42, 9999, 0]],
@@ -833,6 +950,11 @@ def test_ttm_row_chain_matches_the_loop_it_replaces(ids):
         assert_same_entries(got, want)
     _, inverse = np.unique(idx, return_inverse=True)
     assert np.array_equal(rows, ref[-1].reshape(digits[0].size, math.prod(col_dims))[inverse])
+    g = np.random.default_rng(6).standard_normal(rows.shape)
+    got = factorized.FORMATS["ttm"].backprop_rows(table, points, memo, g)
+    # the memo now holds the slices as I = 1 views; the loop took the slices
+    old_memo = (*memo[:4], [s[:, :, 0] for s in memo[4]], memo[5])
+    assert_same_arrays(got, _ref_ttm_backprop_rows(points, old_memo, g))
 
 
 def test_tucker_chain_matches_the_loops_it_replaces():

@@ -111,6 +111,12 @@ class TestTrain:
             reports.append(json.dumps(d, sort_keys=True))
         assert reports[0] == reports[1]
 
+    def test_train_ramps_the_kl_weight_from_epoch_one(self):
+        net, data = toy_problem()
+        cfg = TrainConfig(epochs=5, warmup_epochs=4, batch_size=80, learning_rate=1e-3, seed=1)
+        _, report = train(net, data, cfg)
+        assert report.beta == [0.25, 0.5, 0.75, 1.0, 1.0]
+
     def test_report_lengths_match_epochs(self):
         net, data = toy_problem()
         cfg = TrainConfig(epochs=5, batch_size=40, learning_rate=1e-3, seed=1)

@@ -95,6 +95,35 @@ MUTANTS = (
            "left = cores[0][..., 0, :, :, :]", "left = cores[0][..., -1, :, :, :]",
            "_lefts starts from the last index of the first core's r_0 axis",
            equivalent="r_0 is 1, so index -1 is index 0"),
+    Mutant("src/tensorard/factorized.py",
+           "if n > 1 and j > 1:", "if n > 1 and j > 2:",
+           "_left_grads skips the axis swap when the partial's J is 2"),
+    Mutant("src/tensorard/factorized.py",
+           "g = g.reshape(r0 * n, i, m, j).swapaxes(1, 2)", "g = g.reshape(r0 * n, i, m, j)",
+           "_right_grads leaves the partial's I before the core's J"),
+    Mutant("src/tensorard/factorized.py",
+           "    if not cores:\n        return []\n", "",
+           "_rights without its empty-chain guard"),
+    Mutant("src/tensorard/training.py",
+           "return min(1.0, epoch / warmup_epochs)", "return min(1.0, (epoch + 1) / warmup_epochs)",
+           "kl_weight's ramp one epoch ahead"),
+    Mutant("src/tensorard/training.py",
+           "kl_weight(epoch, config.warmup_epochs)", "kl_weight(epoch + 1, config.warmup_epochs)",
+           "train() asks for the KL weight of the next epoch"),
+    Mutant("src/tensorard/training.py",
+           "[config.seed, epoch]", "[epoch, config.seed]",
+           "the batches' shuffle seeded [epoch, seed], not [seed, epoch]"),
+    Mutant("src/tensorard/factorized.py",
+           "        if not mask.any():\n", "        if not masks[0].any():\n",
+           "_keep_masks checks only the first vector for a collapse"),
+    Mutant("src/tensorard/factorized.py",
+           "np.count_nonzero(v >= threshold)) for v in layer.rank_variances]",
+           "np.count_nonzero(v >= threshold)) for v in layer.rank_variances[::-1]]",
+           "surviving_counts reads the rank-variance vectors in reverse"),
+    Mutant("src/tensorard/factorized.py",
+           "return 3 * shapes[n_row][0] * (rows + cols)",
+           "return 3 * shapes[n_row][-1] * (rows + cols)",
+           "TT's split count reads the bond after the first column core, not r_b"),
 )
 
 
